@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "common/check.h"
 #include "geometry/score_kernel.h"
@@ -29,7 +28,6 @@ Status KdTree::Insert(int id, const Point& p) {
   FDRMS_DCHECK(slot == static_cast<int>(slots_.size()));
   slots_.push_back(Slot{id, true});
   slot_of_[id] = slot;
-  buffer_.push_back(slot);
   ++live_count_;
   MaybeRebuild();
   return Status::OK();
@@ -69,20 +67,25 @@ KdTree::PointRef KdTree::GetPointRef(int id) const {
 
 void KdTree::ScoreIds(const double* u, const std::vector<int>& ids,
                       double* out) const {
-  if (ids.empty()) return;
-  std::vector<int> rows(ids.size());
-  for (size_t j = 0; j < ids.size(); ++j) {
-    auto it = slot_of_.find(ids[j]);
-    FDRMS_CHECK(it != slot_of_.end()) << "ScoreIds on missing id " << ids[j];
-    rows[j] = it->second;
+  // Gather in fixed-size chunks so the slot lookup needs no heap buffer.
+  constexpr size_t kChunk = 64;
+  int rows[kChunk];
+  for (size_t base = 0; base < ids.size(); base += kChunk) {
+    const size_t n = std::min(kChunk, ids.size() - base);
+    for (size_t j = 0; j < n; ++j) {
+      auto it = slot_of_.find(ids[base + j]);
+      FDRMS_CHECK(it != slot_of_.end())
+          << "ScoreIds on missing id " << ids[base + j];
+      rows[j] = it->second;
+    }
+    ScoreGather(points_.row(0), points_.stride(), dim_, rows, n, u,
+                out + base);
   }
-  ScoreGather(points_.row(0), points_.stride(), dim_, rows.data(), rows.size(),
-              u, out);
 }
 
 void KdTree::MaybeRebuild() {
-  int total = indexed_count_ + static_cast<int>(buffer_.size());
-  bool buffer_heavy = static_cast<int>(buffer_.size()) > std::max(64, total / 4);
+  int total = static_cast<int>(slots_.size());
+  bool buffer_heavy = buffer_size() > std::max(64, total / 4);
   bool tombstone_heavy = dead_in_tree_ > std::max(64, total / 2);
   if (buffer_heavy || tombstone_heavy) Rebuild();
 }
@@ -90,7 +93,6 @@ void KdTree::MaybeRebuild() {
 void KdTree::Rebuild() {
   ++generation_;
   nodes_.clear();
-  buffer_.clear();
   dead_in_tree_ = 0;
   boxmax_ = ScoreMatrix(dim_);
   // Compact tombstoned slots away; `order` holds the surviving old slot
@@ -173,120 +175,140 @@ int KdTree::BuildNode(std::vector<int>* order, int lo, int hi) {
   return node_id;
 }
 
-double KdTree::NodeUpperBound(int node_id, const Point& u) const {
+template <typename Bar, typename Visit>
+void KdTree::ScanRows(int first, int count, const double* u, Bar&& bar,
+                      Visit&& visit) const {
+  constexpr int kBlock = 64;
+  double scores[kBlock];
+  for (int base = first; base < first + count; base += kBlock) {
+    const int n = std::min(kBlock, first + count - base);
+    ScoreBlock(points_.row(base), points_.stride(), dim_,
+               static_cast<size_t>(n), u, scores);
+    // The bar only rises during a search, so one read per block is a safe
+    // (looser) filter; `visit` rechecks against the current one.
+    const double b = bar();
+    for (int i = 0; i < n; ++i) {
+      if (scores[i] < b) continue;
+      const Slot& slot = slots_[static_cast<size_t>(base + i)];
+      if (slot.alive) visit(scores[i], slot.id);
+    }
+  }
+}
+
+template <typename Bar, typename Visit>
+void KdTree::Search(const double* u, Bar&& bar, Visit&& visit) const {
+  // The buffer is scanned unconditionally, so scan it first: whatever it
+  // contributes raises the bar before the tree is entered.
+  ScanRows(indexed_count_, buffer_size(), u, bar, visit);
+  if (root_ < 0) return;
+  // Median splits halve every range, so the depth is at most 31 and a
+  // depth-first stack never holds more than depth + 1 entries.
+  constexpr int kMaxStack = 64;
+  struct Entry {
+    double bound;
+    int node;
+  };
+  Entry stack[kMaxStack];
+  int top = 0;
   // u >= 0, so the box corner box_max maximizes the inner product.
-  return DotContiguous(u.data(), boxmax_.row(node_id), dim_);
+  stack[top++] = {DotContiguous(u, boxmax_.row(root_), dim_), root_};
+  while (top > 0) {
+    const Entry e = stack[--top];
+    if (e.bound < bar()) continue;  // the bar rose since the push
+    const Node& node = nodes_[static_cast<size_t>(e.node)];
+    if (node.is_leaf()) {
+      ScanRows(node.first, node.count, u, bar, visit);
+      continue;
+    }
+    const int child[2] = {node.left, node.right};
+    double bound[2];
+    ScoreGather(boxmax_.row(0), boxmax_.stride(), dim_, child, 2, u, bound);
+    // Push the worse child first so the better one is popped next.
+    const int better = bound[1] > bound[0] ? 1 : 0;
+    const int worse = 1 - better;
+    const double b = bar();
+    FDRMS_DCHECK(top + 2 <= kMaxStack);
+    if (bound[worse] >= b) stack[top++] = {bound[worse], child[worse]};
+    if (bound[better] >= b) stack[top++] = {bound[better], child[better]};
+  }
+}
+
+namespace {
+
+/// Offers (score, id) to a best-first list holding at most k entries.
+void OfferTopK(std::vector<ScoredId>* top, int k, double score, int id) {
+  const ScoredId cand{score, id};
+  if (static_cast<int>(top->size()) == k) {
+    if (!BetterScore(cand, top->back())) return;
+    top->pop_back();
+  }
+  top->insert(std::upper_bound(top->begin(), top->end(), cand, BetterScore),
+              cand);
+}
+
+/// Score of the k-th entry, or -inf while fewer than k are held.
+double KthScore(const std::vector<ScoredId>& top, int k) {
+  return static_cast<int>(top.size()) < k
+             ? -std::numeric_limits<double>::infinity()
+             : top.back().score;
+}
+
+}  // namespace
+
+void KdTree::ScoreRange(const double* u, double threshold,
+                        std::vector<ScoredId>* out) const {
+  out->clear();
+  Search(
+      u, [&] { return threshold; },
+      [&](double score, int id) {
+        if (score >= threshold) out->push_back({score, id});
+      });
+  std::sort(out->begin(), out->end(), BetterScore);
+}
+
+void KdTree::TopKWithApprox(const double* u, int k, double eps,
+                            std::vector<ScoredId>* top,
+                            std::vector<ScoredId>* approx) const {
+  FDRMS_CHECK(k >= 1);
+  FDRMS_CHECK(eps >= 0.0 && eps < 1.0);
+  top->clear();
+  approx->clear();
+  // The bar (1 - eps) * (current k-th score) only rises, and ends at the
+  // final threshold, so every tuple at or above the final threshold is
+  // collected. With a negative k-th score the bar lies above it, so the
+  // search prunes on the lower of the two.
+  auto approx_bar = [&] { return (1.0 - eps) * KthScore(*top, k); };
+  Search(
+      u, [&] { return std::min(approx_bar(), KthScore(*top, k)); },
+      [&](double score, int id) {
+        OfferTopK(top, k, score, id);
+        if (score >= approx_bar()) approx->push_back({score, id});
+      });
+  const double tau =
+      static_cast<int>(top->size()) < k ? 0.0 : (1.0 - eps) * top->back().score;
+  approx->erase(std::remove_if(approx->begin(), approx->end(),
+                               [&](const ScoredId& s) { return s.score < tau; }),
+                approx->end());
+  std::sort(approx->begin(), approx->end(), BetterScore);
 }
 
 std::vector<ScoredId> KdTree::TopK(const Point& u, int k) const {
   FDRMS_CHECK(static_cast<int>(u.size()) == dim_);
   FDRMS_CHECK(k >= 1);
-  // Bounded "worst at top" heap of the best k seen so far.
-  auto worse = [](const ScoredId& a, const ScoredId& b) {
-    return BetterScore(a, b);
-  };
-  std::priority_queue<ScoredId, std::vector<ScoredId>, decltype(worse)> best(
-      worse);
-  auto offer = [&](double score, int id) {
-    ScoredId cand{score, id};
-    if (static_cast<int>(best.size()) < k) {
-      best.push(cand);
-    } else if (BetterScore(cand, best.top())) {
-      best.pop();
-      best.push(cand);
-    }
-  };
-  auto current_bound = [&]() {
-    return static_cast<int>(best.size()) < k
-               ? -std::numeric_limits<double>::infinity()
-               : best.top().score;
-  };
-  // Best-first traversal of the tree. Leaves stream the blocked kernel
-  // over their contiguous row range; frontier expansion scores both
-  // children's box-max rows with one gather call.
-  if (root_ >= 0) {
-    std::vector<double> leaf_scores(static_cast<size_t>(leaf_size_));
-    using Pq = std::pair<double, int>;  // (upper bound, node)
-    std::priority_queue<Pq> frontier;
-    frontier.push({NodeUpperBound(root_, u), root_});
-    while (!frontier.empty()) {
-      auto [bound, node_id] = frontier.top();
-      frontier.pop();
-      if (bound < current_bound()) break;  // nothing better remains
-      const Node& node = nodes_[node_id];
-      if (node.is_leaf()) {
-        ScoreBlock(points_.row(node.first), points_.stride(), dim_,
-                   static_cast<size_t>(node.count), u.data(),
-                   leaf_scores.data());
-        for (int i = 0; i < node.count; ++i) {
-          const int slot = node.first + i;
-          if (slots_[static_cast<size_t>(slot)].alive) {
-            offer(leaf_scores[static_cast<size_t>(i)],
-                  slots_[static_cast<size_t>(slot)].id);
-          }
-        }
-      } else {
-        const int child_idx[2] = {node.left, node.right};
-        double child_bound[2];
-        ScoreGather(boxmax_.row(0), boxmax_.stride(), dim_, child_idx, 2,
-                    u.data(), child_bound);
-        frontier.push({child_bound[0], node.left});
-        frontier.push({child_bound[1], node.right});
-      }
-    }
-  }
-  // Buffer entries are not tree-ordered yet; scan them scalar.
-  for (int slot : buffer_) {
-    if (slots_[static_cast<size_t>(slot)].alive) {
-      offer(DotContiguous(u.data(), points_.row(slot), dim_),
-            slots_[static_cast<size_t>(slot)].id);
-    }
-  }
-  std::vector<ScoredId> out(best.size());
-  for (int i = static_cast<int>(best.size()) - 1; i >= 0; --i) {
-    out[i] = best.top();
-    best.pop();
-  }
+  std::vector<ScoredId> out;
+  // A subtree whose bound ties the k-th score may still hold a tuple that
+  // wins the tie on id, so only strictly worse subtrees are skipped.
+  Search(
+      u.data(), [&] { return KthScore(out, k); },
+      [&](double score, int id) { OfferTopK(&out, k, score, id); });
   return out;
-}
-
-void KdTree::CollectRange(int node_id, const Point& u, double threshold,
-                          std::vector<double>* leaf_scores,
-                          std::vector<ScoredId>* out) const {
-  const Node& node = nodes_[node_id];
-  if (NodeUpperBound(node_id, u) < threshold) return;
-  if (node.is_leaf()) {
-    ScoreBlock(points_.row(node.first), points_.stride(), dim_,
-               static_cast<size_t>(node.count), u.data(), leaf_scores->data());
-    for (int i = 0; i < node.count; ++i) {
-      const int slot = node.first + i;
-      const double score = (*leaf_scores)[static_cast<size_t>(i)];
-      if (slots_[static_cast<size_t>(slot)].alive && score >= threshold) {
-        out->push_back({score, slots_[static_cast<size_t>(slot)].id});
-      }
-    }
-    return;
-  }
-  CollectRange(node.left, u, threshold, leaf_scores, out);
-  CollectRange(node.right, u, threshold, leaf_scores, out);
 }
 
 std::vector<ScoredId> KdTree::ScoreRange(const Point& u,
                                          double threshold) const {
   FDRMS_CHECK(static_cast<int>(u.size()) == dim_);
   std::vector<ScoredId> out;
-  if (root_ >= 0) {
-    std::vector<double> leaf_scores(static_cast<size_t>(leaf_size_));
-    CollectRange(root_, u, threshold, &leaf_scores, &out);
-  }
-  for (int slot : buffer_) {
-    if (!slots_[static_cast<size_t>(slot)].alive) continue;
-    double score = DotContiguous(u.data(), points_.row(slot), dim_);
-    if (score >= threshold) {
-      out.push_back({score, slots_[static_cast<size_t>(slot)].id});
-    }
-  }
-  std::sort(out.begin(), out.end(), BetterScore);
+  ScoreRange(u.data(), threshold, &out);
   return out;
 }
 

@@ -8,20 +8,25 @@
 /// The paper maps top-k linear-scoring queries to kNN queries in R^{d+1};
 /// because every utility vector lies in the nonnegative orthant, an
 /// axis-aligned bounding box gives the exact branch-and-bound bound
-/// max_{p in box} <u, p> = <u, box.max>, so this tree runs the same
-/// best-first search directly in the original space (see DESIGN.md).
+/// max_{p in box} <u, p> = <u, box.max>, so this tree runs the
+/// branch-and-bound search directly in the original space.
 ///
-/// Dynamism: inserts append to a linearly scanned buffer, deletes tombstone
-/// their slot; the tree is rebuilt when either exceeds a fraction of the
-/// indexed size (standard amortized-logarithmic strategy).
+/// Queries are depth-first on a fixed-size explicit stack: an internal node
+/// scores both children's box-max rows with one gather call and descends
+/// into the better child first, so a top-k query fills its result early
+/// and prunes the rest of the tree against the running k-th score. No
+/// query allocates beyond its result vector.
+///
+/// Dynamism: inserts append to a buffer, deletes tombstone their slot; the
+/// tree is rebuilt when either exceeds a fraction of the indexed size
+/// (standard amortized-logarithmic strategy).
 ///
 /// Hot-path layout: tuple coordinates live in a slot-indexed ScoreMatrix
 /// slab rather than per-slot heap Points, and Rebuild() permutes slots into
 /// build order so every leaf owns a contiguous row range [first, first +
-/// count). A leaf scan is then one blocked kernel call over consecutive
-/// rows, the best-first frontier scores both children's box-max rows with
-/// one gather call, and only buffer entries (inserted since the last
-/// rebuild, not yet tree-ordered) are scanned scalar. All kernel paths are
+/// count). Inserts append rows after the indexed ones, so the buffer is the
+/// contiguous range [indexed_count_, slots_.size()). Leaf and buffer scans
+/// are blocked kernel calls over consecutive rows. All kernel paths are
 /// bit-identical to scalar Dot (see geometry/score_kernel.h), so queries
 /// return exactly what the heap-scattered layout returned.
 
@@ -114,6 +119,22 @@ class KdTree {
   /// All live tuples with <u, p> >= threshold, best first.
   std::vector<ScoredId> ScoreRange(const Point& u, double threshold) const;
 
+  /// Allocation-free ScoreRange for callers that reuse their result vector:
+  /// `out` is overwritten. `u` points at dim() contiguous nonnegative
+  /// doubles.
+  void ScoreRange(const double* u, double threshold,
+                  std::vector<ScoredId>* out) const;
+
+  /// Fused top-k repair query: one depth-first pass that writes the exact
+  /// top-k to `top` and every live tuple with <u, p> >= (1 - eps) * ω_k to
+  /// `approx`, both best first (ω_k is the k-th best score, 0 when fewer
+  /// than k tuples are live). Equal to TopK followed by ScoreRange at that
+  /// threshold; the pass collects against a running bar of (1 - eps) times
+  /// the current k-th score and filters against the final one at the end.
+  void TopKWithApprox(const double* u, int k, double eps,
+                      std::vector<ScoredId>* top,
+                      std::vector<ScoredId>* approx) const;
+
   /// Batch scores: out[j] = <u, point(ids[j])> via the dispatched gather
   /// kernel over the point slab (bit-identical to per-id Dot). Every id
   /// must be live. `u` points at dim() contiguous doubles.
@@ -154,11 +175,18 @@ class KdTree {
 
   int BuildNode(std::vector<int>* order, int lo, int hi);
   void MaybeRebuild();
-  /// <u, box_max(node)> — exact bound since u >= 0.
-  double NodeUpperBound(int node_id, const Point& u) const;
-  void CollectRange(int node_id, const Point& u, double threshold,
-                    std::vector<double>* leaf_scores,
-                    std::vector<ScoredId>* out) const;
+  int buffer_size() const {
+    return static_cast<int>(slots_.size()) - indexed_count_;
+  }
+  /// Scores rows [first, first + count) in blocked kernel calls and offers
+  /// every live one scoring at least `bar()` to `visit(score, id)`.
+  template <typename Bar, typename Visit>
+  void ScanRows(int first, int count, const double* u, Bar&& bar,
+                Visit&& visit) const;
+  /// Depth-first branch and bound: scans the buffer, then the tree, better
+  /// child first, skipping every subtree whose bound is below `bar()`.
+  template <typename Bar, typename Visit>
+  void Search(const double* u, Bar&& bar, Visit&& visit) const;
 
   int dim_;
   int leaf_size_;
@@ -168,8 +196,8 @@ class KdTree {
   std::vector<Node> nodes_;
   ScoreMatrix boxmax_;  // node-indexed box-max rows (node n = row n)
   int root_ = -1;
-  int indexed_count_ = 0;       // live slots covered by the tree
-  std::vector<int> buffer_;     // slot indices inserted since last rebuild
+  int indexed_count_ = 0;       // slots covered by the tree; the rest are
+                                // the buffer, inserted since last rebuild
   int dead_in_tree_ = 0;        // tombstoned slots still referenced by tree
   int live_count_ = 0;
   uint64_t generation_ = 0;     // bumped by every mutation (PointRef guard)

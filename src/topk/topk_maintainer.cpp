@@ -116,10 +116,11 @@ Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
     return Status::NotFound("tuple id " + std::to_string(id) + " not present");
   }
   // Only utilities whose Φ set contains `id` can change (S(p) in the paper).
-  std::vector<int> affected(MemberOf(id).begin(), MemberOf(id).end());
-  std::sort(affected.begin(), affected.end());
+  const std::unordered_set<int>& member_of = MemberOf(id);
+  affected_scratch_.assign(member_of.begin(), member_of.end());
+  std::sort(affected_scratch_.begin(), affected_scratch_.end());
   FDRMS_RETURN_NOT_OK(tree_.Delete(id));
-  for (int u : affected) {
+  for (int u : affected_scratch_) {
     EmitRemove(u, id, deltas);
     auto& list = topk_[u];
     auto in_topk = std::find_if(list.begin(), list.end(),
@@ -131,15 +132,40 @@ Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
 }
 
 void TopKMaintainer::RebuildUtility(int utility, std::vector<TopKDelta>* deltas) {
-  const Point& u = utilities_[utility];
-  topk_[utility] = tree_.TopK(u, k_);
-  double tau = ThresholdFor(utility);
-  // ω_k only decreases on deletion, so existing members stay eligible; the
-  // range query finds the (possibly new) entrants at the lowered bar.
-  for (const ScoredId& s : tree_.ScoreRange(u, tau)) {
+  const double* u = umat_.row(utility);
+  const double old_tau = ThresholdFor(utility);
+  auto& list = topk_[utility];
+  const std::unordered_set<int>& phi = approx_[utility];  // already lacks p
+  if (static_cast<int>(phi.size()) >= k_) {
+    // Φ-local repair: every member scored at least the old bar and every
+    // non-member below it, so the k best members are the exact new top-k.
+    member_scratch_.assign(phi.begin(), phi.end());
+    member_score_scratch_.resize(member_scratch_.size());
+    tree_.ScoreIds(u, member_scratch_, member_score_scratch_.data());
+    scored_scratch_.clear();
+    for (size_t i = 0; i < member_scratch_.size(); ++i) {
+      scored_scratch_.push_back({member_score_scratch_[i], member_scratch_[i]});
+    }
+    std::partial_sort(scored_scratch_.begin(), scored_scratch_.begin() + k_,
+                      scored_scratch_.end(), BetterScore);
+    list.assign(scored_scratch_.begin(), scored_scratch_.begin() + k_);
+    const double tau = ThresholdFor(utility);
+    // ω_k only decreases on deletion, so members stay eligible; when the bar
+    // dropped, one range pass finds the entrants between the two bars.
+    if (tau < old_tau) {
+      tree_.ScoreRange(u, tau, &scored_scratch_);
+    } else {
+      scored_scratch_.clear();
+    }
+  } else {
+    // Fewer than k members survive: the new top-k reaches outside Φ, so one
+    // fused pass finds it together with the lowered bar's members.
+    tree_.TopKWithApprox(u, k_, eps_, &list, &scored_scratch_);
+  }
+  for (const ScoredId& s : scored_scratch_) {
     if (approx_[utility].count(s.id) == 0) EmitAdd(utility, s.id, deltas);
   }
-  cone_.SetThreshold(utility, tau);
+  cone_.SetThreshold(utility, ThresholdFor(utility));
 }
 
 Status TopKMaintainer::ValidateAgainstBruteForce() const {

@@ -14,6 +14,18 @@
 /// Every mutation reports the exact membership changes of the Φ sets as a
 /// list of TopKDelta records; FD-RMS consumes them to update the set
 /// system Σ and the dynamic set-cover solution.
+///
+/// Delete repair (Line 3 of Algorithm 3): only utilities whose exact top-k
+/// held the deleted tuple p need a new top-k. When Φ_u \ {p} still has at
+/// least k members, the new top-k lies inside it (members score at least
+/// the old bar, non-members below it), so the members are scored from the
+/// point slab and partially sorted; a score-range pass then runs only if
+/// the bar dropped, to admit the entrants between the old and new bar.
+/// Otherwise one fused depth-first kd-tree pass returns the new top-k and
+/// the new Φ together (the refill idea of Yi et al., "Efficient
+/// Maintenance of Materialized Top-k Views", ICDE 2003). Either way a
+/// repair costs at most one tree pass, and its scoring and queries
+/// allocate only when a scratch buffer grows.
 
 #include <unordered_map>
 #include <unordered_set>
@@ -101,6 +113,10 @@ class TopKMaintainer {
   /// their batch-gathered scores against the raised admission bar.
   std::vector<int> member_scratch_;
   std::vector<double> member_score_scratch_;
+  /// Scratch for the delete repair: the utilities a delete touches, and the
+  /// scored members or entrants of the Φ set being repaired.
+  std::vector<int> affected_scratch_;
+  std::vector<ScoredId> scored_scratch_;
   KdTree tree_;
   ConeTree cone_;
   std::vector<std::vector<ScoredId>> topk_;            // per utility

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -513,6 +514,9 @@ TEST(ServeServiceTest, ConcurrentChurnIsConsistentAndMatchesSequentialReplay) {
   ASSERT_TRUE(service.Start(initial).ok());
 
   std::atomic<bool> stop_readers{false};
+  // Submitters start only once every reader holds a snapshot; without it a
+  // reader scheduled late could miss the whole stream and log no query.
+  std::latch readers_started(kReaders);
   struct ReaderLog {
     uint64_t queries = 0;
     uint64_t distinct_versions = 0;
@@ -528,7 +532,7 @@ TEST(ServeServiceTest, ConcurrentChurnIsConsistentAndMatchesSequentialReplay) {
       bool first = true;
       while (!stop_readers.load(std::memory_order_acquire)) {
         auto snap = service.Query();
-        ++log.queries;
+        if (++log.queries == 1) readers_started.count_down();
         auto fail = [&](const std::string& what) {
           if (log.failure.empty()) log.failure = what;
         };
@@ -566,6 +570,7 @@ TEST(ServeServiceTest, ConcurrentChurnIsConsistentAndMatchesSequentialReplay) {
   std::vector<std::thread> submitters;
   for (int t = 0; t < kSubmitters; ++t) {
     submitters.emplace_back([&, t] {
+      readers_started.wait();
       for (size_t i = static_cast<size_t>(t); i < ops.size();
            i += kSubmitters) {
         Status st = ops[i].is_insert

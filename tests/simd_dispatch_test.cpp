@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -230,6 +232,33 @@ std::vector<ScoredId> BruteTopK(const std::unordered_map<int, Point>& live,
   return all;
 }
 
+std::vector<ScoredId> BruteRange(const std::unordered_map<int, Point>& live,
+                                 const Point& u, double threshold) {
+  std::vector<ScoredId> all;
+  for (const auto& [id, p] : live) {
+    const double s = Dot(u, p);
+    if (s >= threshold) all.push_back({s, id});
+  }
+  std::sort(all.begin(), all.end(), BetterScore);
+  return all;
+}
+
+/// The depth-first TopK and the fused TopKWithApprox against brute force.
+void ExpectDepthFirstQueriesMatch(const KdTree& tree,
+                                  const std::unordered_map<int, Point>& live,
+                                  const Point& u, int k, double eps,
+                                  const std::string& where) {
+  const auto brute_top = BruteTopK(live, u, k);
+  const double omega =
+      static_cast<int>(brute_top.size()) < k ? 0.0 : brute_top.back().score;
+  EXPECT_EQ(tree.TopK(u, k), brute_top) << where << " k=" << k;
+  std::vector<ScoredId> top, approx;
+  tree.TopKWithApprox(u.data(), k, eps, &top, &approx);
+  EXPECT_EQ(top, brute_top) << where << " fused k=" << k;
+  EXPECT_EQ(approx, BruteRange(live, u, (1.0 - eps) * omega))
+      << where << " fused k=" << k << " eps=" << eps;
+}
+
 // Full kd-tree insert/delete/rebuild churn with TopK + ScoreRange checked
 // against brute force on every tier: the SoA leaf scans must agree with
 // the heap-scattered reference no matter which kernel runs them.
@@ -268,6 +297,9 @@ TEST(SimdDispatchTest, KdTreeQueriesMatchBruteForceOnEveryTier) {
         std::sort(expect_range.begin(), expect_range.end(), BetterScore);
         EXPECT_EQ(tree.ScoreRange(u, thr), expect_range)
             << SimdTierName(tier) << " op " << op;
+        ExpectDepthFirstQueriesMatch(
+            tree, live, u, 4, 0.05,
+            std::string(SimdTierName(tier)) + " op " + std::to_string(op));
       }
     }
     tree.Rebuild();
@@ -275,6 +307,55 @@ TEST(SimdDispatchTest, KdTreeQueriesMatchBruteForceOnEveryTier) {
       Point u = SampleUnitVectorNonneg(d, &rng);
       EXPECT_EQ(tree.TopK(u, 8), BruteTopK(live, u, 8)) << SimdTierName(tier);
     }
+  }
+}
+
+// The query edge cases per tier: a buffer-only tree with tombstones, an
+// indexed tree with tombstoned leaves, duplicate points (ties by id), and
+// k above the live count.
+TEST(SimdDispatchTest, KdTreeQueryEdgeCasesMatchBruteForceOnEveryTier) {
+  for (SimdTier tier : AvailableTiers()) {
+    ScopedSimdTier scoped(tier);
+    const std::string name = SimdTierName(tier);
+    Rng rng(4321);
+    const int d = 5;
+    std::vector<Point> pool(6, Point(static_cast<size_t>(d)));
+    for (Point& p : pool) {
+      for (double& v : p) v = rng.Uniform();
+    }
+    KdTree tree(d, /*leaf_size=*/4);
+    std::unordered_map<int, Point> live;
+    auto check = [&](const std::string& where) {
+      const Point u = SampleUnitVectorNonneg(d, &rng);
+      for (int k : {1, 3, static_cast<int>(live.size()) + 2}) {
+        ExpectDepthFirstQueriesMatch(tree, live, u, k, 0.0, name + where);
+        ExpectDepthFirstQueriesMatch(tree, live, u, k, 0.1, name + where);
+      }
+    };
+    // Under 64 inserts: the buffer alone answers, tombstones included.
+    for (int i = 0; i < 60; ++i) {
+      const Point& p = pool[static_cast<size_t>(rng.UniformInt(6))];
+      ASSERT_TRUE(tree.Insert(i, p).ok());
+      live.emplace(i, p);
+    }
+    for (int i = 0; i < 60; i += 3) {
+      ASSERT_TRUE(tree.Delete(i).ok());
+      live.erase(i);
+    }
+    check(" buffer-only");
+    // Indexed, then mostly tombstoned.
+    for (int i = 60; i < 400; ++i) {
+      const Point& p = pool[static_cast<size_t>(rng.UniformInt(6))];
+      ASSERT_TRUE(tree.Insert(i, p).ok());
+      live.emplace(i, p);
+    }
+    tree.Rebuild();
+    check(" rebuilt");
+    for (int i = 60; i < 400; i += 2) {
+      ASSERT_TRUE(tree.Delete(i).ok());
+      live.erase(i);
+    }
+    check(" tombstoned");
   }
 }
 
