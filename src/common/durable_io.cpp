@@ -13,7 +13,7 @@
 #include <unistd.h>
 #endif
 
-#include "common/crash_point.h"
+#include "common/fault_point.h"
 
 namespace fdrms {
 
@@ -45,6 +45,14 @@ Status IoError(const std::string& step, const std::string& path, int err) {
   oss << step << " failed for " << path;
   if (err != 0) oss << ": " << std::strerror(err);
   return Status::Internal(oss.str());
+}
+
+// One step of the write protocol: an injected crash at `<prefix>.<step>`
+// abandons the write right there, leaving on disk exactly what the steps
+// before it made durable.
+Status StepSite(const char* prefix, const char* step) {
+  FaultAction act = FaultPoints::Hit(prefix, step);
+  return act.crash() ? act.ToStatus() : Status::OK();
 }
 
 #ifndef _WIN32
@@ -93,29 +101,23 @@ Status WriteDurablePosix(const std::string& path, const std::string& contents,
     std::remove(tmp.c_str());
     return IoError("close(tmp)", tmp, err);
   }
-  if (CrashPoints::Hit(crash_prefix, "tmp_written")) {
-    return Status::Internal("crash injected after tmp write");
-  }
+  FDRMS_RETURN_NOT_OK(StepSite(crash_prefix, "tmp_written"));
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     int err = errno;
     std::remove(tmp.c_str());
     return IoError("rename", path, err);
   }
-  if (CrashPoints::Hit(crash_prefix, "renamed")) {
-    return Status::Internal("crash injected after rename");
-  }
+  FDRMS_RETURN_NOT_OK(StepSite(crash_prefix, "renamed"));
   FDRMS_RETURN_NOT_OK(SyncDirOf(path));
-  if (CrashPoints::Hit(crash_prefix, "dir_synced")) {
-    return Status::Internal("crash injected after dir sync");
-  }
+  FDRMS_RETURN_NOT_OK(StepSite(crash_prefix, "dir_synced"));
   return Status::OK();
 }
 
 #else  // _WIN32
 
 // No directory fsync on Windows; ofstream+flush then rename is the best
-// portable approximation. The crash points keep the same names so the
-// matrix still exercises the protocol ordering.
+// portable approximation. The fault sites keep the same names so the
+// crash matrix still exercises the protocol ordering.
 Status WriteDurablePosix(const std::string& path, const std::string& contents,
                          const char* crash_prefix) {
   const std::string tmp = path + ".tmp";
@@ -130,21 +132,15 @@ Status WriteDurablePosix(const std::string& path, const std::string& contents,
       return IoError("write(tmp)", tmp, 0);
     }
   }
-  if (CrashPoints::Hit(crash_prefix, "tmp_written")) {
-    return Status::Internal("crash injected after tmp write");
-  }
+  FDRMS_RETURN_NOT_OK(StepSite(crash_prefix, "tmp_written"));
   std::remove(path.c_str());
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     int err = errno;
     std::remove(tmp.c_str());
     return IoError("rename", path, err);
   }
-  if (CrashPoints::Hit(crash_prefix, "renamed")) {
-    return Status::Internal("crash injected after rename");
-  }
-  if (CrashPoints::Hit(crash_prefix, "dir_synced")) {
-    return Status::Internal("crash injected after dir sync");
-  }
+  FDRMS_RETURN_NOT_OK(StepSite(crash_prefix, "renamed"));
+  FDRMS_RETURN_NOT_OK(StepSite(crash_prefix, "dir_synced"));
   return Status::OK();
 }
 
@@ -156,7 +152,7 @@ Status WriteFileDurable(const std::string& path, const std::string& contents,
                         const char* crash_prefix) {
   // A soft-crashed process never touches disk again: callers above us see a
   // persist failure and must not run their post-commit actions.
-  if (CrashPoints::crashed()) {
+  if (FaultPoints::crashed()) {
     return Status::Internal("crash injected: process is dead");
   }
   return WriteDurablePosix(path, contents, crash_prefix);

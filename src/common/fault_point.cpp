@@ -11,6 +11,7 @@ namespace fdrms {
 
 std::atomic<FaultPoints::State> FaultPoints::state_{
     FaultPoints::State::kUninit};
+std::atomic<bool> FaultPoints::crashed_{false};
 
 namespace {
 
@@ -23,6 +24,7 @@ std::mutex& Mu() {
 struct ArmedSite {
   FaultSpec spec;
   bool consumed = false;  // one-shot kinds (kError, kDie) fire once
+  bool from_env = false;  // an env-armed kCrash exits the process
 };
 
 std::unordered_map<std::string, ArmedSite>& Sites() {
@@ -64,10 +66,12 @@ void ParseDirective(const std::string& directive) {
     spec.kind = FaultKind::kStickyError;
   } else if (action == "die") {
     spec.kind = FaultKind::kDie;
+  } else if (action == "crash") {
+    spec.kind = FaultKind::kCrash;
   } else {
     return;
   }
-  Sites()[site] = ArmedSite{spec, false};
+  Sites()[site] = ArmedSite{spec, false, true};
 }
 
 // Guarded by Mu(). Probes FDRMS_FAULT (comma-separated directives).
@@ -91,7 +95,7 @@ void FaultPoints::Arm(const std::string& name, const FaultSpec& spec) {
   // Make sure a later env probe cannot wipe an API arming: force the probe
   // now so kUninit never follows an Arm.
   if (state_.load(std::memory_order_relaxed) == State::kUninit) ProbeEnv();
-  Sites()[name] = ArmedSite{spec, false};
+  Sites()[name] = ArmedSite{spec, false, false};
   state_.store(State::kArmed, std::memory_order_release);
 }
 
@@ -99,6 +103,7 @@ void FaultPoints::Reset() {
   std::lock_guard<std::mutex> lock(Mu());
   Sites().clear();
   InjectedCount().store(0, std::memory_order_relaxed);
+  crashed_.store(false, std::memory_order_release);
   // Back to kUninit, not kIdle: the env var is re-probed on the next Hit so
   // a Reset inside a test cannot mask an env arming for the process.
   state_.store(State::kUninit, std::memory_order_release);
@@ -122,6 +127,13 @@ FaultAction FaultPoints::HitSlow(const char* prefix, const char* step) {
     std::string name = prefix;
     name += '.';
     name += step;
+    // Already "dead": every later site also reports the crash, so a
+    // multi-step sequence stops at the first armed hit.
+    if (crashed_.load(std::memory_order_relaxed)) {
+      act.kind = FaultKind::kCrash;
+      act.site = std::move(name);
+      return act;
+    }
     auto it = Sites().find(name);
     if (it == Sites().end()) return act;
     ArmedSite& armed = it->second;
@@ -129,6 +141,12 @@ FaultAction FaultPoints::HitSlow(const char* prefix, const char* step) {
     if (armed.spec.skip_hits > 0) {
       --armed.spec.skip_hits;
       return act;
+    }
+    if (armed.spec.kind == FaultKind::kCrash) {
+      // SIGKILL semantics: no atexit handlers, no stream flushes, no stack
+      // unwinding — the file system sees exactly what was durable.
+      if (armed.from_env) std::_Exit(137);
+      crashed_.store(true, std::memory_order_release);
     }
     act.kind = armed.spec.kind;
     act.site = std::move(name);

@@ -2,8 +2,8 @@
 #define FDRMS_COMMON_FAULT_POINT_H_
 
 /// \file fault_point.h
-/// Named fault-injection sites compiled into the hot paths — the
-/// generalization of crash_point.h from "die here" to "misbehave here".
+/// Named fault-injection sites compiled into the hot paths and the
+/// persistence protocol: "misbehave here" and "die here" in one framework.
 ///
 /// Every fault-prone step names itself before proceeding:
 ///
@@ -13,18 +13,19 @@
 /// In production the call is a single relaxed atomic load (nothing armed,
 /// env empty) and returns `kNone`. Sites can be armed two ways:
 ///
-///  * **Env mode** (process granularity, used by the CI fault-smoke job):
+///  * **Env mode** (process granularity, used by the CI smoke jobs):
 ///    `FDRMS_FAULT=<prefix>.<step>=<action>[:<arg>][@<skip>]`, e.g.
 ///      FDRMS_FAULT=writer.apply.pre=die            # kill the writer thread
 ///      FDRMS_FAULT=writer.drain.post=delay:5000    # 5ms stall, every hit
 ///      FDRMS_FAULT=serve.persist.pre=error         # one-shot kInternal
 ///      FDRMS_FAULT=shard.replay.pre=sticky_error@2 # skip 2 hits, then fail
 ///                                                  # that hit and all later
+///      FDRMS_FAULT=shard.cutover.committed=crash   # _Exit(137) right there
 ///    Multiple directives are comma-separated. Probed once, on first Hit.
-///  * **API mode** (in-process fault matrix, used by tests/fault_test):
-///    `FaultPoints::Arm("writer.apply.pre", {FaultKind::kError})`. Replaces
-///    any previous arming of that site; `Reset()` disarms everything and
-///    re-probes the env on the next Hit.
+///  * **API mode** (in-process fault and crash matrices, used by the
+///    tests): `FaultPoints::Arm("writer.apply.pre", {FaultKind::kError})`.
+///    Replaces any previous arming of that site; `Reset()` disarms
+///    everything and re-probes the env on the next Hit.
 ///
 /// Actions:
 ///  * `kDelay`  — the site sleeps `delay_us` and proceeds (every hit).
@@ -35,12 +36,18 @@
 ///                writer had crashed: the service's writer loop exits
 ///                through its death epilogue (queue closed, rendezvous
 ///                failed, health = kDead). One-shot, like kError.
+///  * `kCrash`  — the whole *process* dies at the site. Env-armed, it
+///                `_Exit(137)`s: no destructors, no flushes, exactly like a
+///                SIGKILL at that instant. API-armed, it latches
+///                `crashed()` instead: from then on every site reports
+///                kCrash, and the durable-write helpers and the manifest
+///                commit refuse to touch disk, so everything after the
+///                "crash" behaves as if the process had died and a test can
+///                resume a second instance against the files that made it
+///                to disk.
 ///
 /// `skip` hits are skipped before the action applies, so a site that fires
-/// once per batch can be faulted on batch k specifically. FaultPoints and
-/// CrashPoints coexist: crash points model whole-process death for the
-/// durability story; fault points model partial failure inside a live
-/// process.
+/// once per batch (or once per shard) can be faulted on hit k specifically.
 
 #include <atomic>
 #include <cstdint>
@@ -56,6 +63,7 @@ enum class FaultKind : int {
   kError = 2,        ///< fail once with kInternal
   kStickyError = 3,  ///< fail this hit and every later hit
   kDie = 4,          ///< the hitting thread must die (writer-death epilogue)
+  kCrash = 5,        ///< the process dies here (see crashed())
 };
 
 /// What an armed site told the caller to do. `kind == kNone` on the fast
@@ -71,10 +79,12 @@ struct FaultAction {
     return kind == FaultKind::kError || kind == FaultKind::kStickyError;
   }
   bool die() const { return kind == FaultKind::kDie; }
+  bool crash() const { return kind == FaultKind::kCrash; }
 
-  /// Canonical Status for an injected error at this site.
+  /// Canonical Status for an injected error (or crash) at this site.
   Status ToStatus() const {
-    return Status::Internal("fault injected at " + site);
+    return Status::Internal(
+        (crash() ? "crash injected at " : "fault injected at ") + site);
   }
 };
 
@@ -98,13 +108,20 @@ class FaultPoints {
   /// arming of that site; other sites stay armed.
   static void Arm(const std::string& name, const FaultSpec& spec);
 
-  /// Disarms every site (API- and env-armed). The env var is re-probed on
-  /// the next Hit, matching CrashPoints::Reset semantics.
+  /// Disarms every site (API- and env-armed) and clears crashed(). The env
+  /// var is re-probed on the next Hit, so a Reset inside a test cannot mask
+  /// an env arming for the process.
   static void Reset();
 
-  /// Total actions injected (delays, errors, deaths) since the last Reset.
-  /// Smoke runs assert this is nonzero when a fault was supposed to fire.
+  /// Total actions injected (delays, errors, deaths, crashes) since the
+  /// last Reset. Smoke runs assert this is nonzero when a fault was
+  /// supposed to fire.
   static uint64_t injected();
+
+  /// True once an API-armed kCrash site has been reached (until Reset).
+  /// Persistence paths treat this as "the process is dead": they stop
+  /// writing.
+  static bool crashed() { return crashed_.load(std::memory_order_acquire); }
 
  private:
   enum class State : int {
@@ -116,6 +133,7 @@ class FaultPoints {
   static FaultAction HitSlow(const char* prefix, const char* step);
 
   static std::atomic<State> state_;
+  static std::atomic<bool> crashed_;
 };
 
 }  // namespace fdrms

@@ -6,9 +6,6 @@
 /// serving layer's telemetry vectors: bucket 0 counts the value 0, bucket
 /// i >= 1 counts values in [2^(i-1), 2^i), and the last bucket is
 /// open-ended (everything >= 2^(kPow2HistBuckets-2) saturates into it).
-/// Lived in serve/result_snapshot.h until the obs subsystem took ownership
-/// of all histogram plumbing; result_snapshot.h re-exports these names for
-/// its existing callers.
 
 #include <bit>
 #include <cstddef>

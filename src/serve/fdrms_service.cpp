@@ -15,6 +15,12 @@
 
 namespace fdrms {
 
+std::string VersionedSnapshotPath(const std::string& persist_path,
+                                  long long gen, long long batches) {
+  return persist_path + ".g" + std::to_string(gen) + ".b" +
+         std::to_string(batches);
+}
+
 FdRmsService::FdRmsService(int dim, const FdRmsServiceOptions& options)
     : dim_(dim),
       options_(options),
@@ -130,6 +136,9 @@ FdRmsService::~FdRmsService() {
 Status FdRmsService::Start(const std::vector<std::pair<int, Point>>& initial) {
   if (state_.load() != State::kNew) {
     return Status::FailedPrecondition("service already started");
+  }
+  if (options_.persist_every_batches > 0 && options_.persist_path.empty()) {
+    return Status::Invalid("persist_every_batches > 0 needs a persist_path");
   }
   FDRMS_RETURN_NOT_OK(InitializeAlgo(initial));
   version_ = options_.initial_version;
@@ -378,7 +387,9 @@ const FdRms& FdRmsService::algorithm() const {
 
 Status FdRmsService::WriterFaultSite(const char* prefix, const char* step) {
   FaultAction act = FaultPoints::Hit(prefix, step);
-  if (act.none()) return Status::OK();
+  // A latched process crash is the durable-write layer's business (nothing
+  // reaches disk any more); the writer itself carries on.
+  if (act.none() || act.crash()) return Status::OK();
   metrics_.writer_faults->Increment();
   if (act.kind == FaultKind::kDelay) return Status::OK();
   if (act.die()) {
@@ -508,9 +519,6 @@ void FdRmsService::ApplyAndPublish(const std::vector<FdRms::BatchOp>& batch) {
   ++batches_;
   ++version_;
   metrics_.batches->Increment();
-  // Journal tap: the batch is applied, hand it to the follower before the
-  // publication so a standby is never behind a snapshot readers can see.
-  if (options_.on_apply) options_.on_apply(batch);
   // A publish-site death leaves this batch applied but unpublished: the
   // algorithm state (and the exit-path save above all else) carries it, so
   // no dead letter — only the snapshot goes stale by one batch.
@@ -545,16 +553,7 @@ void FdRmsService::ApplyAndPublish(const std::vector<FdRms::BatchOp>& batch) {
 }
 
 void FdRmsService::MaybePersist(bool force) {
-  if (options_.persist_every_batches == 0) return;
-  // Versioned (manifest) mode treats "never saved this run" as dirty too:
-  // a bulk-loaded P_0 with zero batches must still reach disk on the
-  // forced exit/PersistNow saves, or the manifest would have nothing to
-  // reference for this shard. Legacy mode keeps the exact historical
-  // condition.
-  const bool dirty = options_.persist_versioned
-                         ? (batches_ != persisted_batches_ || !ever_persisted_)
-                         : (batches_ != persisted_batches_);
-  if (!dirty) return;
+  if (options_.persist_every_batches == 0 || !PersistDirty()) return;
   // Throttle on the last *attempt* so a failing disk is retried once per
   // interval, not once per batch; gate on the last *success* above so the
   // forced exit save still fires whenever any batch is not yet durable.
@@ -587,25 +586,20 @@ Status FdRmsService::DoPersist() {
   Status st = SaveSnapshot(algo_, &buf);
   std::string bytes;
   std::string path;
-  long long gen = 0;
+  // The generation survives restarts via persist_gen_start, so names never
+  // collide across boots.
+  const long long gen = std::max(persist_gen_, options_.persist_gen_start) + 1;
   if (st.ok()) {
     bytes = buf.str();
-    if (options_.persist_versioned && options_.persist_version_path) {
-      // Immutable versioned file; gen survives restarts via
-      // persist_gen_start so names never collide across boots.
-      gen = std::max(persist_gen_, options_.persist_gen_start) + 1;
-      path = options_.persist_version_path(
-          gen, static_cast<long long>(batches_));
-    } else {
-      path = options_.persist_path;
-    }
+    path = VersionedSnapshotPath(options_.persist_path, gen,
+                                 static_cast<long long>(batches_));
     st = WriteFileDurable(path, bytes, "serve.persist");
   }
   if (!st.ok()) {
     metrics_.persist_failures->Increment();
     return st;
   }
-  if (gen > 0) persist_gen_ = gen;
+  persist_gen_ = gen;
   persisted_batches_ = batches_;
   ever_persisted_ = true;
   metrics_.persists->Increment();
@@ -627,11 +621,7 @@ Status FdRmsService::PersistNow() {
   Status save = Status::OK();
   Status rendezvous = Inspect([this, &save](const FdRms&) {
     // Writer thread, between batches: a forced save outside the cadence.
-    const bool dirty =
-        options_.persist_versioned
-            ? (batches_ != persisted_batches_ || !ever_persisted_)
-            : (batches_ != persisted_batches_);
-    if (dirty) save = DoPersist();
+    if (PersistDirty()) save = DoPersist();
   });
   FDRMS_RETURN_NOT_OK(rendezvous);
   return save;

@@ -52,12 +52,19 @@
 
 namespace fdrms {
 
+/// The immutable file one save lands in: `<persist_path>.g<gen>.b<batches>`.
+/// The one place this name is formed — the sharded layer's manifest names
+/// and directory scans (shard/manifest.h) build on it too.
+std::string VersionedSnapshotPath(const std::string& persist_path,
+                                  long long gen, long long batches);
+
 /// What a completed snapshot save looked like — handed to
-/// FdRmsServiceOptions::on_persist so the sharded layer's manifest can
-/// reference the exact bytes on disk.
+/// FdRmsServiceOptions::on_persist so the owner (the sharded layer's
+/// manifest, or a caller that resumes later) can reference the exact bytes
+/// on disk.
 struct PersistEvent {
   std::string file;        ///< full path the snapshot landed at
-  long long gen = 0;       ///< persist generation (versioned mode; else 0)
+  long long gen = 0;       ///< persist generation (1, 2, ... per instance)
   long long batches = 0;   ///< writer batches applied at save time
   std::uint64_t checksum = 0;  ///< FNV-1a over the bytes written
 };
@@ -92,39 +99,31 @@ struct FdRmsServiceOptions {
   Overflow overflow = Overflow::kBlock;
 
   /// Background persistence: every N batches the writer saves the full
-  /// FD-RMS state (core/snapshot.h SaveSnapshot) to `persist_path` with a
-  /// crash-durable write-to-temp → fsync → rename → dir-fsync (a failed
-  /// fsync counts as a persist failure), and once more when the writer
-  /// exits, so
-  /// a crash loses at most N batches and a clean shutdown loses nothing.
-  /// 0 = off. Failures are counted (persist_failures()), never fatal: a
-  /// full disk must not take the serving path down.
+  /// FD-RMS state (core/snapshot.h SaveSnapshot), and once more when the
+  /// writer exits (even when zero batches landed: a bulk-loaded P_0 must be
+  /// restorable), so a crash loses at most N batches and a clean shutdown
+  /// loses nothing. 0 = off; otherwise `persist_path` must be non-empty.
+  ///
+  /// Every save goes to a fresh immutable file,
+  /// VersionedSnapshotPath(persist_path, gen, batches), written
+  /// crash-durably (tmp → fsync → rename → dir fsync; a failed fsync counts
+  /// as a persist failure), and `on_persist` reports the file and its
+  /// checksum. A saved file is never rewritten, so a crash mid-save can
+  /// only orphan a new file. The service never deletes a save: retiring
+  /// old files is the owner's job (the sharded layer's manifest GC does
+  /// it). Failures are counted (persist_failures()), never fatal: a full
+  /// disk must not take the serving path down.
   size_t persist_every_batches = 0;
   std::string persist_path = "fdrms_service.snapshot";
 
-  /// Versioned persistence (the sharded layer's manifest mode): instead of
-  /// overwriting the fixed `persist_path`, every save goes to a fresh
-  /// immutable file named by `version_path(gen, batches)` (the shard layer
-  /// supplies `<base>.shard<i>.g<gen>.b<batches>`), written crash-durably
-  /// (tmp → fsync → rename → dir fsync), and `on_persist` reports the file
-  /// + its checksum so the constellation manifest can reference it. A
-  /// referenced file is never rewritten, so a crash mid-save can only
-  /// orphan a new file. In this mode the writer also force-saves on exit
-  /// even when zero batches landed (a bulk-loaded P_0 must be restorable).
-  /// Off (the default): the legacy fixed-path overwrite semantics, now with
-  /// fsync-before-rename.
-  bool persist_versioned = false;
-  std::function<std::string(long long gen, long long batches)>
-      persist_version_path;
-
-  /// First `gen` handed to persist_version_path is persist_gen_start + 1 —
-  /// the sharded layer seeds it from the manifest so filenames stay unique
-  /// across restarts.
+  /// The first save is generation persist_gen_start + 1. A restarted
+  /// service must start past the generations an earlier run saved, or it
+  /// reuses their names; the sharded layer seeds this from the manifest.
   long long persist_gen_start = 0;
 
-  /// Writer-thread hook fired after every *successful* snapshot save (both
-  /// modes). The sharded layer feeds its persist ledger from it. Must be
-  /// cheap and must not call back into the service.
+  /// Writer-thread hook fired after every *successful* snapshot save. The
+  /// sharded layer feeds its persist ledger from it. Must be cheap and must
+  /// not call back into the service.
   std::function<void(const PersistEvent&)> on_persist;
 
   /// Restart-from-snapshot: when non-empty and the file exists at Start(),
@@ -132,9 +131,9 @@ struct FdRmsServiceOptions {
   /// instead of the `initial` tuples, so a restarted process resumes
   /// without replaying its history. A missing file falls back to `initial`
   /// (first boot); a corrupt file, a dimension mismatch, or algorithm
-  /// options that differ from the snapshot's fail Start. Typically set to
-  /// the same path as `persist_path`. Whether the resume actually happened
-  /// is reported by resumed().
+  /// options that differ from the snapshot's fail Start. Typically the
+  /// newest file an earlier run's on_persist reported. Whether the resume
+  /// actually happened is reported by resumed().
   std::string resume_path;
 
   /// Version stamped on the Start() publication; every batch publication
@@ -149,16 +148,6 @@ struct FdRmsServiceOptions {
   /// layer uses it to observe publication cadence. Must be cheap and must
   /// not call back into the service.
   std::function<void(const ResultSnapshot&)> on_publish;
-
-  /// Writer-thread hook fired after each batch is applied (before its
-  /// publication), with the exact operation sequence the writer consumed —
-  /// the live journal tap. A follower replica applying the same batches
-  /// through the same deterministic algorithm tracks this instance state-
-  /// for-state (rejects and all), which is what the sharded layer's
-  /// warm-standby failover rides on. Runs on the writer thread: it adds
-  /// directly to apply latency, so keep it cheap. Must not call back into
-  /// the service.
-  std::function<void(const std::vector<FdRms::BatchOp>&)> on_apply;
 
   /// Test/debug hook: record every consumed operation in application order
   /// (retrievable via journal() after Stop). Off in production — it grows
@@ -210,8 +199,7 @@ class FdRmsService {
   ///    running (injected kDie fault). The last published snapshot keeps
   ///    serving reads; Submit/Flush/Inspect fail fast with kUnavailable
   ///    instead of hanging, and the queue is closed so parked kBlock
-  ///    submitters wake. Recovery is the sharded layer's ReviveShard /
-  ///    PromoteStandby.
+  ///    submitters wake. Recovery is the sharded layer's ReviveShard.
   enum class Health { kRunning, kDegraded, kDead };
 
   FdRmsService(int dim, const FdRmsServiceOptions& options);
@@ -383,7 +371,7 @@ class FdRmsService {
   /// (common/fault_point.h). A kDelay already slept inside the hit; an
   /// injected error degrades health and is returned; kDie latches
   /// writer_die_ so the loop falls through to the death epilogue at the
-  /// next check. Returns OK when nothing (or only a delay/die) fired.
+  /// next check. Returns OK when nothing (or a delay/die/crash) fired.
   Status WriterFaultSite(const char* prefix, const char* step);
 
   /// Initializes algo_ from `initial` or, when configured and present, the
@@ -396,14 +384,20 @@ class FdRmsService {
   /// Writer-thread only, on exit: fails every pending and future Inspect.
   void CloseInspections();
 
-  /// Saves the algorithm state to options_.persist_path if a persistence
-  /// interval is configured and due (`force` persists whenever any batch
-  /// landed since the last save). Writer-thread only.
+  /// Saves the algorithm state if a persistence interval is configured and
+  /// due (`force` saves whenever the state is not yet durable). Writer-
+  /// thread only.
   void MaybePersist(bool force);
 
-  /// The save itself: serializes the algorithm state, writes it
-  /// crash-durably (tmp → fsync → rename → dir fsync), bumps the persist
-  /// counters, and fires options.on_persist. Writer-thread only.
+  /// True when the applied state is not yet durable: a batch landed since
+  /// the last successful save, or nothing was saved this run at all.
+  bool PersistDirty() const {
+    return batches_ != persisted_batches_ || !ever_persisted_;
+  }
+
+  /// The save itself: serializes the algorithm state, writes the next
+  /// versioned file crash-durably (tmp → fsync → rename → dir fsync), bumps
+  /// the persist counters, and fires options.on_persist. Writer-thread only.
   Status DoPersist();
 
   /// Registers this instance's metric series (labelled with
@@ -481,7 +475,7 @@ class FdRmsService {
   uint64_t persisted_batches_ = 0;  ///< batches_ as of the last *successful* save
   uint64_t attempted_persist_batches_ = 0;  ///< batches_ as of the last attempt
   bool ever_persisted_ = false;     ///< any successful save this run
-  long long persist_gen_ = 0;       ///< versioned mode: last gen handed out
+  long long persist_gen_ = 0;       ///< generation of the last save
   double busy_seconds_ = 0.0;
   size_t effective_batch_ = 0;  ///< adaptive batching bound in force
   uint64_t applied_total_ = 0;   ///< ops this instance applied

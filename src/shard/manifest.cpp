@@ -1,11 +1,13 @@
 #include "shard/manifest.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <sstream>
 
 #include "common/durable_io.h"
+#include "serve/fdrms_service.h"
 
 namespace fdrms {
 
@@ -54,6 +56,18 @@ bool ConsumeDigits(std::string* s) {
   return true;
 }
 
+// True iff `s` is exactly the suffix VersionedSnapshotPath appends to a
+// persist path (".g<gen>.b<batches>"): parsed, re-rendered through that
+// helper and compared, so the scan and the writer cannot drift apart.
+bool IsSaveVersionSuffix(const std::string& s) {
+  long long gen = -1, batches = -1;
+  if (std::sscanf(s.c_str(), ".g%18lld.b%18lld", &gen, &batches) != 2) {
+    return false;
+  }
+  return gen >= 0 && batches >= 0 &&
+         VersionedSnapshotPath("", gen, batches) == s;
+}
+
 // True iff `rest` (the part after the base name) is a versioned snapshot
 // suffix this layer owns: ".shard<i>.g<g>.b<b>" or ".routing.e<e>",
 // optionally with a trailing ".tmp".
@@ -64,10 +78,8 @@ bool IsVersionedSuffix(std::string rest, bool* is_tmp) {
     rest.erase(rest.size() - 4);
   }
   std::string s = rest;
-  if (ConsumePrefix(&s, ".shard") && ConsumeDigits(&s) &&
-      ConsumePrefix(&s, ".g") && ConsumeDigits(&s) &&
-      ConsumePrefix(&s, ".b") && ConsumeDigits(&s) && s.empty()) {
-    return true;
+  if (ConsumePrefix(&s, ".shard") && ConsumeDigits(&s)) {
+    return IsSaveVersionSuffix(s);
   }
   s = rest;
   return ConsumePrefix(&s, ".routing.e") && ConsumeDigits(&s) && s.empty();
@@ -181,11 +193,13 @@ std::string ManifestSlotPath(const std::string& base, int slot) {
   return base + (slot == 0 ? ".manifest.a" : ".manifest.b");
 }
 
+std::string ShardPersistPath(const std::string& base, int index) {
+  return base + ".shard" + std::to_string(index);
+}
+
 std::string ShardSnapshotPath(const std::string& base, int index,
                               long long gen, long long batches) {
-  std::ostringstream oss;
-  oss << base << ".shard" << index << ".g" << gen << ".b" << batches;
-  return oss.str();
+  return VersionedSnapshotPath(ShardPersistPath(base, index), gen, batches);
 }
 
 std::string RoutingSnapshotPath(const std::string& base, long long epoch) {

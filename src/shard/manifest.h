@@ -74,6 +74,10 @@ Result<ConstellationManifest> DecodeManifest(const std::string& text);
 /// `<base>.manifest.a` for slot 0, `<base>.manifest.b` for slot 1.
 std::string ManifestSlotPath(const std::string& base, int slot);
 
+/// Shard `index`'s own persist path, `<base>.shard<index>`: every save of
+/// that shard lands at VersionedSnapshotPath over it (serve/fdrms_service.h).
+std::string ShardPersistPath(const std::string& base, int index);
+
 /// Versioned snapshot-file names. These never collide across boots because
 /// `gen` is seeded from the manifest at resume.
 std::string ShardSnapshotPath(const std::string& base, int index,

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -13,7 +14,6 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "common/crash_point.h"
 #include "common/durable_io.h"
 #include "common/fault_point.h"
 #include "common/rng.h"
@@ -107,8 +107,7 @@ ShardedFdRmsService::ShardedFdRmsService(int dim,
       registry_(options.registry ? options.registry
                                  : std::make_shared<obs::MetricRegistry>()) {
   FDRMS_CHECK(options.num_shards >= 1);
-  versioned_persist_ = options_.shard.persist_every_batches > 0 &&
-                       !options_.shard.persist_path.empty();
+  persist_ = options_.shard.persist_every_batches > 0;
   // With a resume path the manifest decides the topology, so shard
   // construction waits for Start (keeps non-resume behavior bit-identical).
   defer_topology_ = !options_.shard.resume_path.empty();
@@ -183,8 +182,8 @@ void ShardedFdRmsService::RegisterMetrics() {
       "or manifest slot write)");
   metrics_.writer_restarts = r.GetCounter(
       "fdrms_shard_writer_restarts_total",
-      "Dead shards brought back by ReviveShard (cold restart from the "
-      "newest snapshot, or warm-standby promotion)");
+      "Dead shards brought back by ReviveShard (from the newest durable "
+      "snapshot, or the dead instance's in-memory tuples)");
   metrics_.shard_deaths = r.GetCounter(
       "fdrms_shard_deaths_total",
       "Shard writer deaths observed by the health tracker (one per dead "
@@ -242,21 +241,16 @@ std::shared_ptr<FdRmsService> ShardedFdRmsService::MakeShard(
     int index, const std::string& resume_file, uint64_t initial_version) {
   FdRmsServiceOptions per_shard = options_.shard;
   per_shard.initial_version = initial_version;
-  if (versioned_persist_) {
-    // Manifest mode: every save goes to a fresh immutable
-    // `<base>.shard<i>.g<G>.b<B>` file and reports into the ledger; the
-    // persist-generation floor keeps filenames unique across rebirths and
-    // process restarts.
+  if (persist_) {
+    // Every save goes to a fresh immutable `<base>.shard<i>.g<G>.b<B>` file
+    // and reports into the ledger; the persist-generation floor keeps
+    // filenames unique across rebirths and process restarts.
     if (static_cast<size_t>(index) >= persist_gen_seeds_.size()) {
       persist_gen_seeds_.resize(static_cast<size_t>(index) + 1, 0);
     }
-    const std::string base = options_.shard.persist_path;
-    per_shard.persist_versioned = true;
+    per_shard.persist_path =
+        ShardPersistPath(options_.shard.persist_path, index);
     per_shard.persist_gen_start = persist_gen_seeds_[static_cast<size_t>(index)];
-    per_shard.persist_version_path = [base, index](long long gen,
-                                                   long long batches) {
-      return ShardSnapshotPath(base, index, gen, batches);
-    };
     auto user_persist = per_shard.on_persist;
     per_shard.on_persist = [this, index, user_persist = std::move(
                                              user_persist)](
@@ -264,8 +258,6 @@ std::shared_ptr<FdRmsService> ShardedFdRmsService::MakeShard(
       OnShardPersist(index, ev);
       if (user_persist) user_persist(ev);
     };
-  } else if (per_shard.persist_every_batches > 0) {
-    per_shard.persist_path += ".shard" + std::to_string(index);
   }
   // `resume_file` is the exact snapshot the manifest references (resume
   // boots only); a shard added to a live constellation starts empty.
@@ -291,14 +283,6 @@ std::shared_ptr<FdRmsService> ShardedFdRmsService::MakeShard(
                              const ResultSnapshot& snap) {
     metrics_.publications->Increment();
     if (user_hook) user_hook(snap);
-  };
-  // Journal tap for warm standby: every shard gets the hook (one relaxed
-  // load per batch when no standby is enabled anywhere).
-  auto user_apply = per_shard.on_apply;
-  per_shard.on_apply = [this, index, user_apply = std::move(user_apply)](
-                           const std::vector<FdRms::BatchOp>& batch) {
-    OnShardApply(index, batch);
-    if (user_apply) user_apply(batch);
   };
   auto shard = std::make_shared<FdRmsService>(dim_, per_shard);
   // A shard born under an active controller override must start throttled:
@@ -348,6 +332,13 @@ Status ShardedFdRmsService::Start(
   if (!started_.compare_exchange_strong(expected, true)) {
     return Status::FailedPrecondition("sharded service already started");
   }
+  if (persist_ && options_.shard.persist_path.empty()) {
+    // Without a base path the per-shard files would land in the working
+    // directory, outside any manifest.
+    started_.store(false);
+    return Status::Invalid(
+        "shard.persist_every_batches > 0 needs a shard.persist_path");
+  }
   // On resume the whole topology — shard count, epoch, per-shard snapshot
   // files — comes out of the constellation manifest; a torn or missing
   // store fails loudly here instead of serving a guessed topology.
@@ -394,7 +385,7 @@ Status ShardedFdRmsService::Start(
     started_.store(false);
     return combined;
   }
-  if (versioned_persist_) {
+  if (persist_) {
     // Durability root: commit a manifest for the just-started constellation
     // (forcing every shard's first save) so a crash from here on always
     // resumes — without this, files-without-manifest is indistinguishable
@@ -672,9 +663,9 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
     // The manifest is the migration's durability commit point: a crash
     // before the slot rename resumes into the pre-migration constellation
     // (replay covers the gap); after it, into the post-migration one.
-    CrashPoints::Hit("shard.cutover", "pre_manifest");
+    (void)FaultPoints::Hit("shard.cutover", "pre_manifest");
     (void)CommitConstellationLocked(/*persist_shards=*/true);
-    CrashPoints::Hit("shard.cutover", "committed");
+    (void)FaultPoints::Hit("shard.cutover", "committed");
   }
   return first_error;
 }
@@ -836,14 +827,6 @@ Status ShardedFdRmsService::RemoveShard() {
     UpdateTopologyGauges(shrunk->epoch(), next->shards.size());
     topology_.store(std::move(next), std::memory_order_release);
   }
-  {
-    // A retired index has no primary to follow; drop its standby.
-    std::lock_guard<std::mutex> lg(standby_mu_);
-    if (standbys_.erase(victim) > 0) {
-      standby_count_.store(static_cast<int>(standbys_.size()),
-                           std::memory_order_release);
-    }
-  }
   Status stopped = victim_shard->Stop(FdRmsService::StopPolicy::kDrain);
   // Retire the victim from the durable constellation: drop its ledger row
   // (the exit save above already reported into it) but remember its persist
@@ -851,7 +834,7 @@ Status ShardedFdRmsService::RemoveShard() {
   // next manifest commit stops referencing the victim's snapshot, and GC
   // unlinks it once no slot references it — the fix for resurrected dead
   // tuples on rebirth + crash + resume.
-  if (versioned_persist_) {
+  if (persist_) {
     {
       std::lock_guard<std::mutex> lg(ledger_.mu);
       auto it = ledger_.entries.find(victim);
@@ -917,51 +900,32 @@ Status ShardedFdRmsService::ReviveShardLocked(int s) {
   std::vector<FdRms::BatchOp> backlog;
   (void)dead->DrainDeadBacklog(&backlog);
 
-  // Successor seed, in preference order: warm standby (already tracking
-  // the applied stream, promotion is just the instance swap), the newest
-  // durable snapshot (the death epilogue force-saved the last applied
-  // state, so it is current), or the dead instance's in-memory algorithm
-  // state (no persistence configured — an in-process revive must still
-  // lose nothing).
+  // Successor seed: the newest durable snapshot (the death epilogue
+  // force-saved the last applied state, so it is current), or else the dead
+  // instance's in-memory tuples (no persistence configured — an in-process
+  // revive must still lose nothing; Initialize rebuilds the structure from
+  // the live tuples alone).
   std::vector<std::pair<int, Point>> seed;
-  bool warm = false;
-  {
-    std::lock_guard<std::mutex> lg(standby_mu_);
-    auto it = standbys_.find(s);
-    if (it != standbys_.end() && it->second.follower != nullptr) {
-      it->second.follower->topk().tree().ForEach(
-          [&seed](int id, const Point& p) { seed.emplace_back(id, p); });
-      warm = true;
-      standbys_.erase(it);
-      standby_count_.store(static_cast<int>(standbys_.size()),
-                           std::memory_order_release);
+  std::string resume_file;
+  if (persist_) {
+    std::lock_guard<std::mutex> lg(ledger_.mu);
+    auto it = ledger_.entries.find(s);
+    if (it != ledger_.entries.end() && !it->second.file.empty()) {
+      resume_file = JoinDirOf(options_.shard.persist_path, it->second.file);
+      // The successor's save generations must not collide with the dead
+      // incarnation's filenames.
+      if (static_cast<size_t>(s) >= persist_gen_seeds_.size()) {
+        persist_gen_seeds_.resize(static_cast<size_t>(s) + 1, 0);
+      }
+      persist_gen_seeds_[static_cast<size_t>(s)] =
+          std::max(persist_gen_seeds_[static_cast<size_t>(s)],
+                   it->second.gen);
     }
   }
-  std::string resume_file;
-  if (!warm) {
-    if (versioned_persist_) {
-      std::lock_guard<std::mutex> lg(ledger_.mu);
-      auto it = ledger_.entries.find(s);
-      if (it != ledger_.entries.end() && !it->second.file.empty()) {
-        resume_file = JoinDirOf(options_.shard.persist_path, it->second.file);
-        // The successor's save generations must not collide with the dead
-        // incarnation's filenames.
-        if (static_cast<size_t>(s) >= persist_gen_seeds_.size()) {
-          persist_gen_seeds_.resize(static_cast<size_t>(s) + 1, 0);
-        }
-        persist_gen_seeds_[static_cast<size_t>(s)] =
-            std::max(persist_gen_seeds_[static_cast<size_t>(s)],
-                     it->second.gen);
-      }
-    } else if (options_.shard.persist_every_batches > 0 &&
-               !options_.shard.persist_path.empty()) {
-      resume_file = options_.shard.persist_path + ".shard" + std::to_string(s);
-    }
-    if (resume_file.empty()) {
-      // algorithm() is valid now that the dead service is stopped.
-      dead->algorithm().topk().tree().ForEach(
-          [&seed](int id, const Point& p) { seed.emplace_back(id, p); });
-    }
+  if (resume_file.empty()) {
+    // algorithm() is valid now that the dead service is stopped.
+    dead->algorithm().topk().tree().ForEach(
+        [&seed](int id, const Point& p) { seed.emplace_back(id, p); });
   }
   std::sort(seed.begin(), seed.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -1004,7 +968,7 @@ Status ShardedFdRmsService::ReviveShardLocked(int s) {
   metrics_.writer_restarts->Increment();
   registry_->trace().Record("shard.revive", t0, registry_->NowMicros() - t0,
                             static_cast<uint64_t>(s), backlog.size());
-  if (versioned_persist_) {
+  if (persist_) {
     // Bind the successor's state into the durable constellation (forces
     // its first save): a crash after the revive must resume post-replay.
     (void)CommitConstellationLocked(/*persist_shards=*/true);
@@ -1014,79 +978,6 @@ Status ShardedFdRmsService::ReviveShardLocked(int s) {
   last_topology_change_us_.store(registry_->NowMicros(),
                                  std::memory_order_relaxed);
   return first;
-}
-
-Status ShardedFdRmsService::EnableStandby(int s) {
-  std::lock_guard<std::mutex> admin(admin_mutex_);
-  if (!started_.load()) {
-    return Status::FailedPrecondition("sharded service never started");
-  }
-  std::shared_ptr<const Topology> topo = topology();
-  if (s < 0 || s >= static_cast<int>(topo->shards.size())) {
-    return Status::Invalid("no shard " + std::to_string(s));
-  }
-  {
-    std::lock_guard<std::mutex> lg(standby_mu_);
-    if (standbys_.count(s) > 0) {
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(s) + " already has a standby");
-    }
-  }
-  std::shared_ptr<FdRmsService> shard = topo->shards[static_cast<size_t>(s)];
-  auto follower = std::make_unique<FdRms>(dim_, options_.shard.algo);
-  Status seeded = Status::OK();
-  // The writer is parked between batches for the duration of the callback:
-  // the clone and the tap installation are atomic with respect to the
-  // apply stream, so the follower misses no batch and doubles none.
-  Status st = shard->Inspect([&](const FdRms& algo) {
-    std::vector<std::pair<int, Point>> tuples;
-    algo.topk().tree().ForEach([&tuples](int id, const Point& p) {
-      tuples.emplace_back(id, p);
-    });
-    std::sort(tuples.begin(), tuples.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    seeded = follower->Initialize(tuples);
-    if (!seeded.ok()) return;
-    std::lock_guard<std::mutex> lg(standby_mu_);
-    Standby& sb = standbys_[s];
-    sb.follower = std::move(follower);
-    sb.batches_applied = 0;
-    standby_count_.store(static_cast<int>(standbys_.size()),
-                         std::memory_order_release);
-  });
-  if (!st.ok()) return st;  // kUnavailable when the writer is already dead
-  return seeded;
-}
-
-bool ShardedFdRmsService::has_standby(int s) const {
-  std::lock_guard<std::mutex> lg(standby_mu_);
-  return standbys_.count(s) > 0;
-}
-
-uint64_t ShardedFdRmsService::standby_batches_applied(int s) const {
-  std::lock_guard<std::mutex> lg(standby_mu_);
-  auto it = standbys_.find(s);
-  return it == standbys_.end() ? 0 : it->second.batches_applied;
-}
-
-void ShardedFdRmsService::OnShardApply(
-    int index, const std::vector<FdRms::BatchOp>& batch) {
-  if (standby_count_.load(std::memory_order_acquire) == 0) return;
-  std::lock_guard<std::mutex> lg(standby_mu_);
-  auto it = standbys_.find(index);
-  if (it == standbys_.end() || it->second.follower == nullptr) return;
-  // Same resume-past-reject loop as the primary's writer: the follower is
-  // state-for-state identical, so it rejects exactly the operations the
-  // primary rejected and stays identical.
-  FdRms& f = *it->second.follower;
-  size_t pos = 0;
-  while (pos < batch.size()) {
-    size_t applied = 0;
-    Status st = f.ApplyBatch(batch, pos, &applied);
-    pos += applied;
-    if (!st.ok()) ++pos;  // skip the offender, like the primary did
-  }
-  ++it->second.batches_applied;
 }
 
 std::vector<int> ShardedFdRmsService::unhealthy_shards() const {
@@ -1155,7 +1046,6 @@ void ShardedFdRmsService::HealthTrackerLoop() {
         }
       }
     }
-    num_unhealthy_.store(dead, std::memory_order_relaxed);
     metrics_.shards_unhealthy->Set(static_cast<double>(dead));
     lk.lock();
   }
@@ -1205,10 +1095,10 @@ void ShardedFdRmsService::OnShardPersist(int index, const PersistEvent& ev) {
 }
 
 Status ShardedFdRmsService::CommitConstellationLocked(bool persist_shards) {
-  if (!versioned_persist_) return Status::OK();
+  if (!persist_) return Status::OK();
   std::shared_ptr<const Topology> topo = topology();
   if (topo->shards.empty()) return Status::OK();
-  if (CrashPoints::crashed()) {
+  if (FaultPoints::crashed()) {
     metrics_.manifest_commit_failures->Increment();
     return Status::Internal("crash injected: process is dead");
   }
@@ -1325,10 +1215,9 @@ Status ShardedFdRmsService::CommitConstellationLocked(bool persist_shards) {
 
 Status ShardedFdRmsService::BuildResumedTopologyLocked() {
   const std::string& base = options_.shard.persist_path;
-  if (!versioned_persist_) {
+  if (!persist_) {
     return Status::Invalid(
-        "resume_path requires persistence (persist_every_batches > 0 and "
-        "persist_path set)");
+        "resume_path requires persistence (persist_every_batches > 0)");
   }
   if (options_.shard.resume_path != base) {
     return Status::Invalid("resume_path must equal persist_path ('" +
@@ -1475,7 +1364,7 @@ Status ShardedFdRmsService::BuildResumedTopologyLocked() {
 }
 
 void ShardedFdRmsService::StartManifestTickerLocked() {
-  if (!versioned_persist_ || options_.manifest_commit_every_ms <= 0 ||
+  if (!persist_ || options_.manifest_commit_every_ms <= 0 ||
       manifest_ticker_.joinable()) {
     return;
   }
@@ -1703,11 +1592,6 @@ std::string ShardedFdRmsService::DebugString() const {
       << metrics_.migration_ops_side_buffered->Value() << "\n";
   {
     std::vector<int> dead = unhealthy_shards();
-    size_t standbys;
-    {
-      std::lock_guard<std::mutex> lg(standby_mu_);
-      standbys = standbys_.size();
-    }
     out << "health: unhealthy=" << dead.size();
     if (!dead.empty()) {
       out << " [";
@@ -1717,10 +1601,9 @@ std::string ShardedFdRmsService::DebugString() const {
       out << "]";
     }
     out << " degraded_reads=" << metrics_.degraded_reads->Value()
-        << " writer_restarts=" << metrics_.writer_restarts->Value()
-        << " standbys=" << standbys << "\n";
+        << " writer_restarts=" << metrics_.writer_restarts->Value() << "\n";
   }
-  if (versioned_persist_) {
+  if (persist_) {
     out << "durability: manifest_gen="
         << static_cast<long long>(metrics_.manifest_generation->Value())
         << " commits=" << metrics_.manifest_commits->Value()
@@ -1755,12 +1638,17 @@ void ShardedFdRmsService::GreedyReCover(const std::vector<int>& ids,
   }
 
   // A direction with no positive optimum is trivially covered; otherwise it
-  // wants a selected tuple within (1-merge_eps) of the union's best.
-  std::vector<bool> covered(num_dirs);
+  // wants a selected tuple within (1-merge_eps) of the union's best. `bar`
+  // holds that threshold per direction, NaN once covered (no score compares
+  // >= NaN), so the scans below are branch-free compares.
+  const double kCovered = std::numeric_limits<double>::quiet_NaN();
+  const double keep_share = 1.0 - options_.merge_eps;
+  std::vector<double> bar(num_dirs, kCovered);
   size_t uncovered = 0;
   for (size_t j = 0; j < num_dirs; ++j) {
-    covered[j] = best[j] <= 0.0;
-    if (!covered[j]) ++uncovered;
+    if (best[j] <= 0.0) continue;
+    bar[j] = keep_share * best[j];
+    ++uncovered;
   }
 
   std::vector<bool> picked(candidates.size(), false);
@@ -1770,13 +1658,9 @@ void ShardedFdRmsService::GreedyReCover(const std::vector<int>& ids,
     size_t best_gain = 0;
     for (size_t c = 0; c < candidates.size(); ++c) {
       if (picked[c]) continue;
+      const double* row = &scores[c * num_dirs];
       size_t gain = 0;
-      for (size_t j = 0; j < num_dirs; ++j) {
-        if (!covered[j] && scores[c * num_dirs + j] >=
-                               (1.0 - options_.merge_eps) * best[j]) {
-          ++gain;
-        }
-      }
+      for (size_t j = 0; j < num_dirs; ++j) gain += row[j] >= bar[j];
       if (gain > best_gain) {  // ties resolve to the smallest id (scan order)
         best_gain = gain;
         best_c = c;
@@ -1785,10 +1669,10 @@ void ShardedFdRmsService::GreedyReCover(const std::vector<int>& ids,
     if (best_c == candidates.size()) break;  // nobody covers anything new
     picked[best_c] = true;
     selection.push_back(best_c);
+    const double* row = &scores[best_c * num_dirs];
     for (size_t j = 0; j < num_dirs; ++j) {
-      if (!covered[j] && scores[best_c * num_dirs + j] >=
-                             (1.0 - options_.merge_eps) * best[j]) {
-        covered[j] = true;
+      if (row[j] >= bar[j]) {
+        bar[j] = kCovered;
         --uncovered;
       }
     }

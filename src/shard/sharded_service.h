@@ -97,9 +97,12 @@ struct ShardedServiceOptions {
   /// MergedSnapshot::min_sample_size_m).
   ///
   /// Durability (see shard/manifest.h for the full protocol): when
-  /// persistence is on (`shard.persist_every_batches > 0`), shard s writes
-  /// immutable versioned snapshots `persist_path + ".shard<s>.g<G>.b<B>"`
-  /// on its own batch cadence, the routing table is saved to
+  /// persistence is on (`shard.persist_every_batches > 0`, which requires a
+  /// non-empty `shard.persist_path` — Start fails with kInvalidArgument
+  /// otherwise), shard s writes immutable versioned snapshots
+  /// `persist_path + ".shard<s>.g<G>.b<B>"` (VersionedSnapshotPath over the
+  /// shard's own `persist_path + ".shard<s>"`) on its own batch cadence and
+  /// once more when its writer exits, the routing table is saved to
   /// `persist_path + ".routing.e<epoch>"`, and a checksummed constellation
   /// manifest (`persist_path + ".manifest.{a,b}"`) binding one snapshot
   /// per shard to one routing epoch is committed crash-durably at every
@@ -250,39 +253,20 @@ class ShardedFdRmsService {
 
   /// Recovers shard `s` after its writer died (health() == kDead): joins
   /// the dead writer, drains its acknowledged-but-unapplied backlog, builds
-  /// a successor — seeded from the warm standby when one is enabled, else
-  /// from the shard's newest durable snapshot (the death epilogue force-
-  /// saves the last applied state), else from the dead instance's in-memory
-  /// algorithm state — swaps it into the topology under the route lock (the
-  /// routing table is unchanged: same slots, same epoch), replays the
-  /// backlog in submission order, and flushes. When the replay completes
-  /// the revived shard's applied state equals an unfaulted run's. Fails
-  /// with kFailedPrecondition when the shard is not dead; on a failed
-  /// successor Start the dead shard stays in place and the call may be
-  /// retried. Serialized with the rest of the control plane.
+  /// a successor — seeded from the shard's newest durable snapshot (the
+  /// death epilogue force-saves the last applied state) when persistence is
+  /// on, else from the dead instance's in-memory tuples — swaps it into the
+  /// topology under the route lock (the routing table is unchanged: same
+  /// slots, same epoch), replays the backlog in submission order, and
+  /// flushes. When the replay completes the revived shard's applied state
+  /// equals an unfaulted run's. Fails with kFailedPrecondition when the
+  /// shard is not dead; on a failed successor Start the dead shard stays in
+  /// place and the call may be retried. Serialized with the rest of the
+  /// control plane.
   Status ReviveShard(int s);
 
   /// Revives every currently dead shard; returns how many came back.
   int ReviveDeadShards();
-
-  /// Warm standby: seeds a follower FdRms with shard `s`'s live tuple set
-  /// (cloned on the shard's writer thread between batches, so the
-  /// journaled-batch tap that keeps it current misses no batch and doubles
-  /// none) and applies every batch the primary applies from then on, via
-  /// the on_apply journal tap. A later ReviveShard(s) then promotes the
-  /// follower instead of re-reading a snapshot from disk: the cutover is
-  /// the in-place instance swap under the route lock. One standby per
-  /// shard index; the follower costs one extra ApplyBatch per batch on the
-  /// primary's writer thread.
-  Status EnableStandby(int s);
-
-  /// True when shard index `s` currently has a warm-standby follower.
-  bool has_standby(int s) const;
-
-  /// Batches the standby follower of shard `s` has applied (0 when none) —
-  /// the lag oracle: equal to the primary's applied batch count whenever
-  /// the primary is idle.
-  uint64_t standby_batches_applied(int s) const;
 
   /// Shard indices whose writer is dead, scanned from the live topology.
   std::vector<int> unhealthy_shards() const;
@@ -412,7 +396,7 @@ class ShardedFdRmsService {
     return topology_.load(std::memory_order_acquire);
   }
 
-  /// Builds one shard service (publication hook, versioned persist wiring,
+  /// Builds one shard service (publication hook, persist wiring,
   /// optional resume file) for slot `index`. `resume_file` is the exact
   /// snapshot file the manifest references for this shard (empty = start
   /// empty/from initial). The first instance at an index is labelled
@@ -475,11 +459,6 @@ class ShardedFdRmsService {
   /// `index`'s newest durable snapshot in the ledger and marks it dirty.
   void OnShardPersist(int index, const PersistEvent& ev);
 
-  /// on_apply hook target (shard writer threads): forwards the applied
-  /// batch to shard `index`'s warm-standby follower when one is enabled.
-  /// One relaxed atomic load when no standby exists anywhere.
-  void OnShardApply(int index, const std::vector<FdRms::BatchOp>& batch);
-
   /// ReviveShard body; caller holds admin_mutex_.
   Status ReviveShardLocked(int s);
 
@@ -510,9 +489,9 @@ class ShardedFdRmsService {
   std::atomic<bool> started_{false};
   bool resumed_ = false;  ///< written under admin_mutex_ in Start
 
-  /// Manifest-backed versioned persistence is on (persist interval + path
-  /// both configured). Const after construction.
-  bool versioned_persist_ = false;
+  /// Manifest-backed persistence is on (shard.persist_every_batches > 0).
+  /// Const after construction.
+  bool persist_ = false;
 
   /// Topology construction is deferred to Start (resume_path set): the
   /// manifest, not the constructor argument, decides the shard count.
@@ -579,26 +558,12 @@ class ShardedFdRmsService {
   bool ticker_stop_ = false;
 
   /// Health tracker (health_poll_every_ms): polls every live shard's
-  /// health, maintains the fdrms_shards_unhealthy gauge + num_unhealthy_,
-  /// and traces each death transition once.
+  /// health, maintains the fdrms_shards_unhealthy gauge, and traces each
+  /// death transition once.
   std::thread health_tracker_;
   std::mutex health_mu_;
   std::condition_variable health_cv_;
   bool health_stop_ = false;
-  std::atomic<int> num_unhealthy_{0};  ///< tracker's last poll result
-
-  /// One warm-standby follower per shard index. standby_count_ gates the
-  /// writer-thread hot path (OnShardApply) with a single relaxed load;
-  /// standby_mu_ guards the map and the followers behind it (each follower
-  /// is only ever applied under the mutex, so the map's mutation sites and
-  /// the per-batch tap serialize).
-  struct Standby {
-    std::unique_ptr<FdRms> follower;
-    uint64_t batches_applied = 0;
-  };
-  mutable std::mutex standby_mu_;
-  std::map<int, Standby> standbys_;
-  std::atomic<int> standby_count_{0};
 
   /// Constellation-level handles into registry_ (unlabelled — the shard
   /// label belongs to per-shard series). Counters/histograms are

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/durable_io.h"
 #include "common/fault_point.h"
 #include "common/retry.h"
 #include "common/status.h"
@@ -112,6 +113,15 @@ double GaugeValue(const obs::MetricRegistry& reg, const std::string& name) {
     if (m.name == name && m.type == MetricType::kGauge) return m.gauge_value;
   }
   return 0.0;
+}
+
+/// Records the file of every completed save into `*files`. on_persist runs
+/// on the writer thread; read `*files` only after Stop, whose join orders
+/// the writes before the read.
+void RecordSaves(FdRmsServiceOptions* opt, std::vector<std::string>* files) {
+  opt->on_persist = [files](const PersistEvent& ev) {
+    files->push_back(ev.file);
+  };
 }
 
 /// Every suite below arms process-global fault state; start and end clean
@@ -228,6 +238,60 @@ TEST_F(FaultPointTest, EnvDirectivesParse) {
   EXPECT_TRUE(FaultPoints::Hit("env", "three").none());  // skipped hit
   EXPECT_TRUE(FaultPoints::Hit("env", "three").die());
   EXPECT_TRUE(FaultPoints::Hit("env", "unarmed").none());
+}
+
+TEST_F(FaultPointTest, EnvCrashParsesWithSkipThenExits137) {
+  ::setenv("FDRMS_FAULT", "env.crash=crash@1", 1);
+  FaultPoints::Reset();  // re-probe the env on the next Hit
+  // The skipped hit proceeds; nothing has crashed yet.
+  EXPECT_TRUE(FaultPoints::Hit("env", "crash").none());
+  EXPECT_FALSE(FaultPoints::crashed());
+  EXPECT_EQ(FaultPoints::injected(), 0u);
+  // The next hit is the crash: the (forked) process dies like a SIGKILL.
+  EXPECT_EXIT(FaultPoints::Hit("env", "crash"),
+              ::testing::ExitedWithCode(137), "");
+}
+
+TEST_F(FaultPointTest, EnvCrashExitsWithCode137) {
+  EXPECT_EXIT(
+      {
+        ::setenv("FDRMS_FAULT", "env.kill=crash", 1);
+        FaultPoints::Reset();
+        (void)FaultPoints::Hit("env", "kill");
+        std::exit(0);  // not reached when the crash fires
+      },
+      ::testing::ExitedWithCode(137), "");
+}
+
+TEST_F(FaultPointTest, ApiCrashLatchesUntilReset) {
+  const std::string path = ::testing::TempDir() + "fault_crash_latch.bytes";
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  FaultSpec crash;
+  crash.kind = FaultKind::kCrash;
+  FaultPoints::Arm("unit.crash", crash);
+  EXPECT_TRUE(FaultPoints::Hit("unit", "other").none());  // not dead yet
+  EXPECT_FALSE(FaultPoints::crashed());
+
+  FaultAction act = FaultPoints::Hit("unit", "crash");
+  EXPECT_TRUE(act.crash());
+  EXPECT_FALSE(act.error());
+  EXPECT_NE(act.ToStatus().message().find("unit.crash"), std::string::npos);
+  EXPECT_TRUE(FaultPoints::crashed());
+  // Dead: every later site reports the crash, and durable writes refuse to
+  // touch disk.
+  EXPECT_TRUE(FaultPoints::Hit("unit", "other").crash());
+  EXPECT_TRUE(FaultPoints::Hit("writer.apply", "pre").crash());
+  EXPECT_FALSE(WriteFileDurable(path, "bytes", "unit.write").ok());
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  FaultPoints::Reset();
+  EXPECT_FALSE(FaultPoints::crashed());
+  EXPECT_TRUE(FaultPoints::Hit("unit", "other").none());
+  EXPECT_TRUE(WriteFileDurable(path, "bytes", "unit.write").ok());
+  EXPECT_TRUE(std::filesystem::exists(path));
+  std::filesystem::remove(path, ec);
 }
 
 TEST_F(FaultPointTest, ToStatusNamesTheSite) {
@@ -370,7 +434,9 @@ TEST_F(FaultWriterTest, InjectedPersistErrorCountsFailureAndKeepsServing) {
   sopt.algo.r = 6;
   sopt.algo.max_utilities = 64;
   sopt.persist_every_batches = 1;
-  sopt.persist_path = ::testing::TempDir() + "fault_persist_err.snapshot";
+  sopt.persist_path = CleanBase("fault_persist_err.snapshot");
+  std::vector<std::string> saves;
+  RecordSaves(&sopt, &saves);
   FdRmsService service(3, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 60)).ok());
 
@@ -391,6 +457,12 @@ TEST_F(FaultWriterTest, InjectedPersistErrorCountsFailureAndKeepsServing) {
   ASSERT_TRUE(service.Flush().ok());
   ASSERT_TRUE(service.Stop().ok());
   EXPECT_GE(service.persists(), 1u);
+  // Only successful saves are reported, each in its own versioned file.
+  ASSERT_EQ(saves.size(), service.persists());
+  for (const std::string& f : saves) {
+    EXPECT_EQ(f.rfind(sopt.persist_path + ".g", 0), 0u) << f;
+    EXPECT_TRUE(std::filesystem::exists(f)) << f;
+  }
 }
 
 TEST_F(FaultWriterTest, DieAtDrainStashesTheWholeBacklogAsDeadLetter) {
@@ -476,6 +548,8 @@ TEST_F(FaultWriterTest, DieAtPublishPreservesAppliedStateInTheExitSave) {
   sopt.algo.max_utilities = 64;
   sopt.persist_every_batches = 1000;  // only the death epilogue's force save
   sopt.persist_path = CleanBase("fault_publish_die.snapshot");
+  std::vector<std::string> saves;
+  RecordSaves(&sopt, &saves);
   FdRmsService service(3, sopt);
   const auto initial = AsTuples(ps, 80);
   ASSERT_TRUE(service.Start(initial).ok());
@@ -505,8 +579,10 @@ TEST_F(FaultWriterTest, DieAtPublishPreservesAppliedStateInTheExitSave) {
 
   // Cold restart from the death epilogue's force save + backlog replay
   // reproduces the unfaulted state exactly.
+  ASSERT_FALSE(saves.empty());
   FdRmsServiceOptions ropt = sopt;
-  ropt.resume_path = sopt.persist_path;
+  ropt.persist_every_batches = 0;
+  ropt.resume_path = saves.back();  // the death epilogue's force save
   FdRmsService revived(3, ropt);
   ASSERT_TRUE(revived.Start({}).ok());
   EXPECT_TRUE(revived.resumed());
@@ -599,7 +675,7 @@ TEST_F(FaultWriterTest, BlockedSubmitIsWokenUnavailableWhenWriterDies) {
 
 // ---------------------------------------------------------------------------
 // Sharded fault domain: degraded merged reads, fail-fast submits, revive
-// (in-memory harvest, durable cold restart, warm standby), health tracker,
+// (in-memory harvest, durable cold restart), health tracker,
 // control-plane fault sites.
 // ---------------------------------------------------------------------------
 
@@ -683,7 +759,7 @@ TEST_F(FaultShardedTest, DeadShardDegradesReadsFailsFastAndRevivesByHarvest) {
   EXPECT_GT(degraded->versions[1 - victim], before->versions[1 - victim]);
   EXPECT_GE(svc.degraded_reads(), 1u);
 
-  // Revive: no persistence, no standby — the in-memory harvest path.
+  // Revive: no persistence — the in-memory harvest path.
   ASSERT_TRUE(svc.ReviveShard(victim).ok());
   EXPECT_EQ(svc.num_unhealthy(), 0);
   EXPECT_EQ(svc.writer_restarts(), 1u);
@@ -748,53 +824,6 @@ TEST_F(FaultShardedTest, ReviveColdRestartsFromTheDurableSnapshot) {
   ShardedFdRmsService ref(3, TwoShardOptions());
   ASSERT_TRUE(ref.Start(initial).ok());
   for (int id = 200; id < 240; ++id) {
-    ASSERT_TRUE(ref.SubmitInsert(id, ps.Get(id)).ok());
-  }
-  ASSERT_TRUE(ref.SubmitInsert(kill_id, ps.Get(kill_id)).ok());
-  ASSERT_TRUE(ref.Flush().ok());
-  auto ref_snap = ref.Query();
-  ASSERT_NE(ref_snap, nullptr);
-  EXPECT_EQ(after->ids, ref_snap->ids);
-  ASSERT_TRUE(svc.Stop().ok());
-  ASSERT_TRUE(ref.Stop().ok());
-}
-
-TEST_F(FaultShardedTest, WarmStandbyFollowsThePrimaryAndPromotesOnRevive) {
-  PointSet ps = GenerateIndep(500, 3, 79);
-  ShardedFdRmsService svc(3, TwoShardOptions());
-  const auto initial = AsTuples(ps, 300);
-  ASSERT_TRUE(svc.Start(initial).ok());
-  ASSERT_TRUE(svc.Flush().ok());
-
-  const int victim = 0;
-  ASSERT_TRUE(svc.EnableStandby(victim).ok());
-  EXPECT_TRUE(svc.has_standby(victim));
-  EXPECT_EQ(svc.standby_batches_applied(victim), 0u);
-
-  int victim_ops = 0;
-  for (int id = 300; id < 340; ++id) {
-    if (svc.router().Route(id) == victim) ++victim_ops;
-    ASSERT_TRUE(svc.SubmitInsert(id, ps.Get(id)).ok());
-  }
-  ASSERT_TRUE(svc.Flush().ok());
-  if (victim_ops > 0) {
-    // The journal tap fed every primary batch to the follower.
-    EXPECT_GE(svc.standby_batches_applied(victim), 1u);
-  }
-
-  const int kill_id = FindOwnedId(svc, 400, 500, victim);
-  KillShard(&svc, victim, kill_id, ps.Get(kill_id));
-  ASSERT_TRUE(svc.ReviveShard(victim).ok());
-  EXPECT_FALSE(svc.has_standby(victim));      // follower consumed by promotion
-  EXPECT_FALSE(svc.shard(victim).resumed());  // warm, nothing read from disk
-  EXPECT_EQ(svc.writer_restarts(), 1u);
-  ASSERT_TRUE(svc.Flush().ok());
-  auto after = svc.Query();
-  ASSERT_NE(after, nullptr);
-
-  ShardedFdRmsService ref(3, TwoShardOptions());
-  ASSERT_TRUE(ref.Start(initial).ok());
-  for (int id = 300; id < 340; ++id) {
     ASSERT_TRUE(ref.SubmitInsert(id, ps.Get(id)).ok());
   }
   ASSERT_TRUE(ref.SubmitInsert(kill_id, ps.Get(kill_id)).ok());

@@ -14,7 +14,6 @@
 #include "eval/service_driver.h"
 #include "eval/workload.h"
 #include "obs/pow2_hist.h"
-#include "serve/bounded_queue.h"
 #include "serve/fdrms_service.h"
 #include "serve/mpsc_ring_queue.h"
 
@@ -54,12 +53,21 @@ std::unique_ptr<FdRms> SequentialReplay(
   return algo;
 }
 
-// Shared queue-contract suite: both the mutex reference (BoundedQueue) and
-// the lock-free ring (MpscRingQueue) must satisfy the exact same
-// semantics — the serving layer treats them as interchangeable.
+/// Records the file of every completed save into `*files`. on_persist runs
+/// on the writer thread; read `*files` only after Stop, whose join orders
+/// the writes before the read.
+void RecordSaves(FdRmsServiceOptions* opt, std::vector<std::string>* files) {
+  opt->on_persist = [files](const PersistEvent& ev) {
+    files->push_back(ev.file);
+  };
+}
+
+// Queue-contract suite: the semantics the serving layer relies on from its
+// update queue. Typed so another implementation can be held to the same
+// contract by adding it to QueueTypes.
 template <typename Q>
 class ServeQueueTest : public ::testing::Test {};
-using QueueTypes = ::testing::Types<BoundedQueue<int>, MpscRingQueue<int>>;
+using QueueTypes = ::testing::Types<MpscRingQueue<int>>;
 TYPED_TEST_SUITE(ServeQueueTest, QueueTypes);
 
 TYPED_TEST(ServeQueueTest, PushPopPreservesFifoOrder) {
@@ -181,6 +189,33 @@ TEST(ServeRingQueueTest, LogicalCapacityHonoredBeyondPowerOfTwoCells) {
   EXPECT_TRUE(q.TryPush(5));
   EXPECT_TRUE(q.TryPush(6));
   EXPECT_FALSE(q.TryPush(7));  // full again at exactly 5
+}
+
+TEST(ServeRingQueueTest, SingleSlotQueueHandsOffEveryElementInOrder) {
+  // Capacity 1 is the tightest hand-off: each element may only land once
+  // the consumer has moved the previous one out of the ring. A hot TryPush
+  // loop (the kReject path) and a heap-owning payload keep the producer
+  // racing that move-out.
+  MpscRingQueue<std::vector<int>> q(1);
+  constexpr int kN = 20000;
+  std::thread producer([&q] {
+    for (int i = 0; i < kN; ++i) {
+      while (!q.TryPush(std::vector<int>(8, i))) {
+      }
+    }
+    q.Close();
+  });
+  int next = 0;
+  bool in_order = true;
+  std::vector<std::vector<int>> batch;
+  while (q.PopBatch(1, &batch)) {
+    for (const std::vector<int>& v : batch) {
+      in_order = in_order && v == std::vector<int>(8, next++);
+    }
+  }
+  producer.join();
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(next, kN);
 }
 
 TEST(ServeRingQueueTest, DestructionReleasesUnconsumedElements) {
@@ -646,6 +681,8 @@ TEST(ServeResumeTest, ResumeFromSnapshotSkipsHistory) {
   sopt.algo.max_utilities = 64;
   sopt.persist_every_batches = 1;
   sopt.persist_path = path;
+  std::vector<std::string> saves;
+  RecordSaves(&sopt, &saves);
   {
     FdRmsService service(3, sopt);
     ASSERT_TRUE(service.Start(AsTuples(ps, 120)).ok());
@@ -658,9 +695,10 @@ TEST(ServeResumeTest, ResumeFromSnapshotSkipsHistory) {
     ASSERT_TRUE(service.Flush().ok());
     ASSERT_TRUE(service.Stop().ok());  // exit save captures the final state
   }
+  ASSERT_FALSE(saves.empty());
   FdRmsServiceOptions ropt = sopt;
   ropt.persist_every_batches = 0;  // resume-only this time
-  ropt.resume_path = path;
+  ropt.resume_path = saves.back();  // the newest save: the exit save
   FdRmsService service(3, ropt);
   // The resumed service needs no P_0 and no history replay.
   ASSERT_TRUE(service.Start({}).ok());
@@ -705,6 +743,8 @@ TEST(ServeResumeTest, OptionMismatchFailsStart) {
   sopt.algo.max_utilities = 64;
   sopt.persist_every_batches = 1;
   sopt.persist_path = path;
+  std::vector<std::string> saves;
+  RecordSaves(&sopt, &saves);
   {
     FdRmsService service(2, sopt);
     ASSERT_TRUE(service.Start(AsTuples(ps, 60)).ok());
@@ -715,10 +755,11 @@ TEST(ServeResumeTest, OptionMismatchFailsStart) {
     ASSERT_TRUE(service.Stop().ok());
     ASSERT_GE(service.persists(), 1u);  // the snapshot to resume from exists
   }
+  ASSERT_FALSE(saves.empty());
   // A different result budget changes the restored guarantee: refuse.
   FdRmsServiceOptions ropt = sopt;
   ropt.persist_every_batches = 0;
-  ropt.resume_path = path;
+  ropt.resume_path = saves.back();
   ropt.algo.r = 8;
   FdRmsService mismatched(2, ropt);
   EXPECT_EQ(mismatched.Start({}).code(), StatusCode::kInvalidArgument);
@@ -744,6 +785,8 @@ TEST(ServePersistTest, WriterPersistsPeriodicallyAndFinalStateOnDrainStop) {
   sopt.max_batch = 8;
   sopt.persist_every_batches = 2;
   sopt.persist_path = path;
+  std::vector<std::string> saves;
+  RecordSaves(&sopt, &saves);
   FdRmsService service(3, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 120)).ok());
   for (int i = 120; i < 200; ++i) {
@@ -763,8 +806,15 @@ TEST(ServePersistTest, WriterPersistsPeriodicallyAndFinalStateOnDrainStop) {
   // before the last publication (the exit save may add one more).
   EXPECT_GE(service.Query()->persisted, 1u);
   EXPECT_LE(service.Query()->persisted, service.persists());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "no snapshot at " << path;
+  // Every save landed in its own immutable versioned file; the newest one
+  // (the exit save) holds the drained state.
+  ASSERT_EQ(saves.size(), service.persists());
+  EXPECT_EQ(saves.front().rfind(path + ".g1.b", 0), 0u) << saves.front();
+  for (size_t i = 1; i < saves.size(); ++i) {
+    EXPECT_NE(saves[i], saves[i - 1]);
+  }
+  std::ifstream in(saves.back());
+  ASSERT_TRUE(in.good()) << "no snapshot at " << saves.back();
   auto loaded = LoadSnapshot(&in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const FdRms& restored = **loaded;
