@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -50,6 +51,21 @@ std::vector<ArrivalPhase> DiurnalArrival(double base_ops_per_sec, int cycles,
         {fraction, base_ops_per_sec * (1.0 + amplitude * std::sin(angle))});
   }
   return phases;
+}
+
+std::vector<std::vector<size_t>> PartitionOpsById(
+    const std::vector<Operation>& ops, int num_submitters) {
+  FDRMS_CHECK(num_submitters >= 1);
+  std::vector<std::vector<size_t>> owned(static_cast<size_t>(num_submitters));
+  for (size_t i = 0; i < ops.size(); ++i) {
+    // splitmix64 finalizer: consecutive ids spread evenly over submitters.
+    uint64_t h = static_cast<uint64_t>(static_cast<uint32_t>(ops[i].id));
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    owned[h % static_cast<uint64_t>(num_submitters)].push_back(i);
+  }
+  return owned;
 }
 
 namespace {
@@ -135,6 +151,11 @@ ServiceLoadResult RunServiceLoad(const Workload& workload,
 
   std::vector<ReaderTally> tallies(
       static_cast<size_t>(std::max(opts.num_readers, 0)));
+  const std::vector<std::vector<size_t>> owned =
+      PartitionOpsById(ops, opts.num_submitters);
+  // Submitters start once every reader has queried: a reader scheduled
+  // late would otherwise miss the whole stream.
+  std::latch readers_started(std::max(opts.num_readers, 0));
   std::vector<std::thread> threads;
   Stopwatch wall;
 
@@ -144,7 +165,7 @@ ServiceLoadResult RunServiceLoad(const Workload& workload,
       uint64_t last_version = 0;
       while (!readers_stop.load(std::memory_order_acquire)) {
         std::shared_ptr<const ResultSnapshot> snap = service.Query();
-        ++tally.queries;
+        if (++tally.queries == 1) readers_started.count_down();
         if (snap == nullptr) {
           tally.consistent = false;
           break;
@@ -171,10 +192,9 @@ ServiceLoadResult RunServiceLoad(const Workload& workload,
 
   for (int t = 0; t < opts.num_submitters; ++t) {
     threads.emplace_back([&, t] {
-      // Round-robin partition: submitter t owns ops t, t+M, t+2M, ...
+      readers_started.wait();
       uint64_t retries = 0;
-      for (size_t i = static_cast<size_t>(t); i < ops.size();
-           i += static_cast<size_t>(opts.num_submitters)) {
+      for (size_t i : owned[static_cast<size_t>(t)]) {
         auto submit = [&] {
           return ops[i].is_insert
                      ? service.SubmitInsert(ops[i].id,
@@ -362,6 +382,9 @@ ShardedLoadResult RunShardedLoad(const Workload& workload,
     tally.per_shard_staleness_sum.assign(static_cast<size_t>(base_shards),
                                          0.0);
   }
+  const std::vector<std::vector<size_t>> owned =
+      PartitionOpsById(ops, opts.num_submitters);
+  std::latch readers_started(std::max(opts.num_readers, 0));
   std::vector<std::thread> threads;
   Stopwatch wall;
 
@@ -373,7 +396,7 @@ ShardedLoadResult RunShardedLoad(const Workload& workload,
       bool first = true;
       while (!readers_stop.load(std::memory_order_acquire)) {
         std::shared_ptr<const MergedSnapshot> snap = service.Query();
-        ++tally.queries;
+        if (++tally.queries == 1) readers_started.count_down();
         if (snap == nullptr) {
           // Null is only legal before every shard published version 0;
           // once a reader has seen a merged view, a later null is a
@@ -455,9 +478,9 @@ ShardedLoadResult RunShardedLoad(const Workload& workload,
 
   for (int t = 0; t < opts.num_submitters; ++t) {
     threads.emplace_back([&, t] {
+      readers_started.wait();
       uint64_t retries = 0;
-      for (size_t i = static_cast<size_t>(t); i < ops.size();
-           i += static_cast<size_t>(opts.num_submitters)) {
+      for (size_t i : owned[static_cast<size_t>(t)]) {
         if (!arrival_at.empty()) WaitUntil(wall, arrival_at[i]);
         auto submit = [&] {
           return ops[i].is_insert

@@ -49,6 +49,12 @@ std::vector<ArrivalPhase> DiurnalArrival(double base_ops_per_sec,
                                          int phases_per_cycle = 8,
                                          double amplitude = 0.75);
 
+/// Splits `ops` across `num_submitters` threads by a hash of each op's id:
+/// entry t lists the stream positions submitter t owns, in stream order,
+/// so every id's insert and delete reach the service in that order.
+std::vector<std::vector<size_t>> PartitionOpsById(
+    const std::vector<Operation>& ops, int num_submitters);
+
 /// Shape of one load run.
 struct ServiceLoadOptions {
   int num_readers = 4;     ///< Query() threads
@@ -123,8 +129,9 @@ struct ServiceLoadResult {
 };
 
 /// Replays `workload` through a service built from `opts.service` (initial
-/// tuples = the workload's P_0, operations round-robin across submitters)
-/// and measures. The service is drained and stopped before returning.
+/// tuples = the workload's P_0, operations split by PartitionOpsById,
+/// submitters starting once every reader has queried) and measures. The
+/// service is drained and stopped before returning.
 ServiceLoadResult RunServiceLoad(const Workload& workload,
                                  const ServiceLoadOptions& opts);
 
@@ -312,8 +319,8 @@ struct ShardedLoadResult {
 
 /// Replays `workload` through a ShardedFdRmsService built from
 /// `opts.service`. Same protocol as RunServiceLoad: initial tuples are the
-/// workload's P_0 (routed across shards), operations go round-robin across
-/// submitters, readers hammer the merged Query(). Drained and stopped
+/// workload's P_0 (routed across shards), operations split by
+/// PartitionOpsById, readers hammer the merged Query(). Drained and stopped
 /// before returning.
 ShardedLoadResult RunShardedLoad(const Workload& workload,
                                  const ShardedLoadOptions& opts);

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
-#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +18,7 @@
 #include "common/rng.h"
 #include "geometry/sampling.h"
 #include "obs/phase_span.h"
+#include "shard/merge_recover.h"
 
 namespace fdrms {
 
@@ -123,9 +123,10 @@ ShardedFdRmsService::ShardedFdRmsService(int dim,
   if (options_.merged_budget_r > 0) {
     FDRMS_CHECK(options_.merge_directions > 0);
     Rng rng(options_.merge_seed);
-    merge_directions_.reserve(static_cast<size_t>(options_.merge_directions));
+    merge_directions_ = ScoreMatrix(dim);
+    merge_directions_.Reserve(options_.merge_directions);
     for (int i = 0; i < options_.merge_directions; ++i) {
-      merge_directions_.push_back(SampleUnitVectorNonneg(dim, &rng));
+      merge_directions_.AppendRow(SampleUnitVectorNonneg(dim, &rng));
     }
   }
   ResetTopology();
@@ -1559,7 +1560,11 @@ std::shared_ptr<const MergedSnapshot> ShardedFdRmsService::BuildMerged(
                         "read.merge_recover");
     span.set_args(order.size(),
                   static_cast<uint64_t>(options_.merged_budget_r));
-    GreedyReCover(ids, points, &order);
+    order = GreedyReCover(merge_directions_, points, order,
+                          static_cast<size_t>(options_.merged_budget_r),
+                          options_.merge_eps);
+    std::sort(order.begin(), order.end(),
+              [&](size_t a, size_t b) { return ids[a] < ids[b]; });
     metrics_.merge_recovers->Increment();
     merged->reduced = true;
   }
@@ -1616,107 +1621,6 @@ std::string ShardedFdRmsService::DebugString() const {
     out << "--- shard " << s << " ---\n" << topo->shards[s]->DebugString();
   }
   return out.str();
-}
-
-void ShardedFdRmsService::GreedyReCover(const std::vector<int>& ids,
-                                        const std::vector<const Point*>& points,
-                                        std::vector<size_t>* keep) const {
-  const size_t budget = static_cast<size_t>(options_.merged_budget_r);
-  const std::vector<size_t>& candidates = *keep;
-  const size_t num_dirs = merge_directions_.size();
-
-  // Score matrix + the union's per-direction optimum.
-  std::vector<double> scores(candidates.size() * num_dirs);
-  std::vector<double> best(num_dirs, 0.0);
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    const Point& p = *points[candidates[c]];
-    for (size_t j = 0; j < num_dirs; ++j) {
-      const double score = Dot(merge_directions_[j], p);
-      scores[c * num_dirs + j] = score;
-      best[j] = std::max(best[j], score);
-    }
-  }
-
-  // A direction with no positive optimum is trivially covered; otherwise it
-  // wants a selected tuple within (1-merge_eps) of the union's best. `bar`
-  // holds that threshold per direction, NaN once covered (no score compares
-  // >= NaN), so the scans below are branch-free compares.
-  const double kCovered = std::numeric_limits<double>::quiet_NaN();
-  const double keep_share = 1.0 - options_.merge_eps;
-  std::vector<double> bar(num_dirs, kCovered);
-  size_t uncovered = 0;
-  for (size_t j = 0; j < num_dirs; ++j) {
-    if (best[j] <= 0.0) continue;
-    bar[j] = keep_share * best[j];
-    ++uncovered;
-  }
-
-  std::vector<bool> picked(candidates.size(), false);
-  std::vector<size_t> selection;  // slots into `candidates`/`scores`
-  while (selection.size() < budget && uncovered > 0) {
-    size_t best_c = candidates.size();
-    size_t best_gain = 0;
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      if (picked[c]) continue;
-      const double* row = &scores[c * num_dirs];
-      size_t gain = 0;
-      for (size_t j = 0; j < num_dirs; ++j) gain += row[j] >= bar[j];
-      if (gain > best_gain) {  // ties resolve to the smallest id (scan order)
-        best_gain = gain;
-        best_c = c;
-      }
-    }
-    if (best_c == candidates.size()) break;  // nobody covers anything new
-    picked[best_c] = true;
-    selection.push_back(best_c);
-    const double* row = &scores[best_c * num_dirs];
-    for (size_t j = 0; j < num_dirs; ++j) {
-      if (row[j] >= bar[j]) {
-        bar[j] = kCovered;
-        --uncovered;
-      }
-    }
-  }
-
-  // Top-up: coverage can saturate well before the budget (a few strong
-  // tuples clear the (1-ε) bar everywhere). Spend the remaining slots on
-  // the picks that raise the selected set's per-direction optimum the
-  // most, so the served set keeps closing the gap to the union's quality.
-  std::vector<double> selected_best(num_dirs, 0.0);
-  for (size_t slot : selection) {
-    for (size_t j = 0; j < num_dirs; ++j) {
-      selected_best[j] = std::max(selected_best[j], scores[slot * num_dirs + j]);
-    }
-  }
-  while (selection.size() < budget) {
-    size_t best_c = candidates.size();
-    double best_gain = 0.0;
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      if (picked[c]) continue;
-      double gain = 0.0;
-      for (size_t j = 0; j < num_dirs; ++j) {
-        gain += std::max(0.0, scores[c * num_dirs + j] - selected_best[j]);
-      }
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_c = c;
-      }
-    }
-    if (best_c == candidates.size()) break;  // nobody improves any direction
-    picked[best_c] = true;
-    selection.push_back(best_c);
-    for (size_t j = 0; j < num_dirs; ++j) {
-      selected_best[j] =
-          std::max(selected_best[j], scores[best_c * num_dirs + j]);
-    }
-  }
-
-  std::vector<size_t> kept;
-  kept.reserve(selection.size());
-  for (size_t slot : selection) kept.push_back(candidates[slot]);
-  std::sort(kept.begin(), kept.end(),
-            [&](size_t a, size_t b) { return ids[a] < ids[b]; });
-  *keep = std::move(kept);
 }
 
 }  // namespace fdrms

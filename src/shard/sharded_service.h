@@ -76,6 +76,7 @@
 
 #include "common/status.h"
 #include "core/fdrms.h"
+#include "geometry/score_kernel.h"
 #include "serve/fdrms_service.h"
 #include "shard/manifest.h"
 #include "shard/merged_snapshot.h"
@@ -474,18 +475,11 @@ class ShardedFdRmsService {
       std::vector<std::shared_ptr<const ResultSnapshot>> parts,
       uint64_t epoch, std::vector<bool> degraded, int num_degraded) const;
 
-  /// Greedily selects <= merged_budget_r entries of the union that keep
-  /// every merge direction covered at (1-merge_eps) of the union's best
-  /// score. `entries` holds indices into ids/points; reduced in place.
-  void GreedyReCover(const std::vector<int>& ids,
-                     const std::vector<const Point*>& points,
-                     std::vector<size_t>* keep) const;
-
   const int dim_;
   const ShardedServiceOptions options_;
   std::shared_ptr<const RoutingTable> initial_table_;  ///< epoch 0
   std::unique_ptr<EpochShardRouter> router_;
-  std::vector<Point> merge_directions_;
+  ScoreMatrix merge_directions_;  ///< rows: the re-cover's directions
   std::atomic<bool> started_{false};
   bool resumed_ = false;  ///< written under admin_mutex_ in Start
 

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "baselines/greedy.h"
 #include "data/generators.h"
 #include "eval/runner.h"
+#include "eval/service_driver.h"
 #include "eval/workload.h"
 
 namespace fdrms {
@@ -130,6 +133,35 @@ TEST(WorkloadRunnerTest, RegretAtCheckpointZeroForFullResult) {
   EXPECT_NEAR(runner.RegretAtCheckpoint(last, live), 0.0, 1e-12);
   // Offering a single worst tuple gives positive regret.
   EXPECT_GT(runner.RegretAtCheckpoint(last, {live[0]}), 0.0);
+}
+
+TEST(ServiceDriverTest, PartitionKeepsEachIdOnOneSubmitterInStreamOrder) {
+  PointSet ps = GenerateIndep(400, 2, 4);
+  Workload wl(&ps, 23);
+  const std::vector<Operation>& ops = wl.operations();
+  for (int submitters : {1, 3, 4}) {
+    const std::vector<std::vector<size_t>> owned =
+        PartitionOpsById(ops, submitters);
+    ASSERT_EQ(owned.size(), static_cast<size_t>(submitters));
+    std::vector<int> owner_of_position(ops.size(), -1);
+    std::unordered_map<int, int> owner_of_id;
+    for (int t = 0; t < submitters; ++t) {
+      const std::vector<size_t>& mine = owned[static_cast<size_t>(t)];
+      EXPECT_TRUE(std::is_sorted(mine.begin(), mine.end()));
+      // Even split: no submitter idles while another takes the stream.
+      EXPECT_GT(mine.size(), ops.size() / (2 * submitters));
+      for (size_t i : mine) {
+        ASSERT_LT(i, ops.size());
+        EXPECT_EQ(owner_of_position[i], -1) << "position " << i;
+        owner_of_position[i] = t;
+        const auto it = owner_of_id.emplace(ops[i].id, t).first;
+        EXPECT_EQ(it->second, t) << "id " << ops[i].id << " split";
+      }
+    }
+    EXPECT_EQ(std::count(owner_of_position.begin(), owner_of_position.end(),
+                         -1),
+              0);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -507,6 +508,9 @@ TEST(MigrationServiceTest, MigrateUnderChurnMatchesJournalReplay) {
   ASSERT_EQ(epoch0->epoch(), 0u);
 
   std::atomic<bool> stop_readers{false};
+  // Submitters start only once every reader holds a snapshot; without it a
+  // reader scheduled late could miss the whole stream and log no query.
+  std::latch readers_started(kReaders);
   struct ReaderLog {
     uint64_t queries = 0;
     uint64_t epochs_seen = 0;
@@ -522,7 +526,7 @@ TEST(MigrationServiceTest, MigrateUnderChurnMatchesJournalReplay) {
       bool first = true;
       while (!stop_readers.load(std::memory_order_acquire)) {
         auto snap = service.Query();
-        ++log.queries;
+        if (++log.queries == 1) readers_started.count_down();
         auto fail = [&](const std::string& what) {
           if (log.failure.empty()) log.failure = what;
         };
@@ -569,6 +573,7 @@ TEST(MigrationServiceTest, MigrateUnderChurnMatchesJournalReplay) {
   std::vector<std::thread> submitters;
   for (int t = 0; t < kSubmitters; ++t) {
     submitters.emplace_back([&, t] {
+      readers_started.wait();
       for (size_t i = static_cast<size_t>(t); i < ops.size();
            i += kSubmitters) {
         Status st = ops[i].is_insert

@@ -959,6 +959,9 @@ TEST(ServeDriverTest, LoadRunDrainsWorkloadAndStaysConsistent) {
   ServiceLoadResult res = RunServiceLoad(wl, lopt);
   EXPECT_TRUE(res.consistent);
   EXPECT_EQ(res.ops_submitted, wl.operations().size());
+  // Each id's ops stay on one submitter in stream order, so no delete can
+  // overtake its insert and be rejected.
+  EXPECT_EQ(res.ops_rejected, 0u);
   EXPECT_EQ(res.ops_applied + res.ops_rejected, res.ops_submitted);
   EXPECT_EQ(res.submit_failures, 0u);
   EXPECT_GT(res.queries, 0u);

@@ -455,6 +455,7 @@ TEST(ShardedDriverTest, ShardedLoadRunDrainsWorkloadAndStaysConsistent) {
   ShardedLoadResult res = RunShardedLoad(wl, lopt);
   EXPECT_TRUE(res.consistent);
   EXPECT_EQ(res.ops_submitted, wl.operations().size());
+  EXPECT_EQ(res.ops_rejected, 0u);  // per-id order kept across submitters
   EXPECT_EQ(res.ops_applied + res.ops_rejected, res.ops_submitted);
   EXPECT_EQ(res.submit_failures, 0u);
   EXPECT_GT(res.queries, 0u);
